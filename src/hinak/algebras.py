@@ -2,13 +2,18 @@
 
 Every algebra here is a finite category whose Hom spaces are spanned by at
 most one basis morphism per (source, target, shift): composition of basis
-morphisms is again a basis morphism or zero, never a proper sum.  The seven
-families:
+morphisms is again a basis morphism or zero, never a proper sum.
 
-* ``linear-a``       vertices = weakly increasing d-tuples in {0,...,n-1}
-* ``kupisch-a``      the subset cut out by a linear Kupisch series
-* ``window``         weakly increasing d-tuples with entries in [a, b]
-* ``zl-window``      window additionally bounded by a constant Loewy bound
+All seven families are one construction, the d-th higher Nakayama algebra of
+a Kupisch series l: the vertices are the weakly increasing d-tuples t in an
+entry range whose Loewy length t_d - t_1 + 1 is at most l at t_d.  They
+differ only in the series, the entry range and whether tuples are taken
+modulo shifting every entry by n.  ``FAMILIES`` holds one row per family:
+
+* ``linear-a``       entries in {0,...,n-1}, l_t = t + 1 (no restriction)
+* ``kupisch-a``      entries in {0,...,n-1}, a linear Kupisch series
+* ``window``         entries in [a, b], l_t = t - a + 1 (no restriction)
+* ``zl-window``      entries in [a, b], additionally a constant Loewy bound
 * ``selfinj-atilde`` orbits of the constant-bound category under shifts by n
 * ``atilde-kupisch`` orbits of an n-periodic series category under shifts by n
 * ``tube-trunc``     orbits of the unbounded category, truncated at Loewy
@@ -22,9 +27,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .combinat import (
     CYCLIC_A,
@@ -34,13 +39,11 @@ from .combinat import (
     as_os,
     box_interval,
     canonical_orbit_rep,
-    enumerate_os,
-    enumerate_window_os,
     interlaces,
     is_os,
-    loewy_len,
+    kupisch_hasse_path,
+    mesh_coordinates,
     mesh_from_coordinates,
-    restrict_os,
     translate_tuple,
 )
 from .linalg import Mat, cokernel_projection
@@ -54,6 +57,10 @@ class BasisElt(NamedTuple):
     def __str__(self) -> str:
         tag = f"%{self.shift:+d}" if self.shift else ""
         return f"{label(self.src)}->{label(self.dst)}{tag}"
+
+    def flipped(self) -> "BasisElt":
+        """The same morphism read in the opposite algebra."""
+        return BasisElt(self.dst, self.src, -self.shift)
 
 
 class Arrow(NamedTuple):
@@ -75,15 +82,100 @@ def label(t: Sequence[int]) -> str:
     return ",".join(str(x) for x in t)
 
 
-FAMILIES = (
-    "linear-a",
-    "kupisch-a",
-    "window",
-    "zl-window",
-    "selfinj-atilde",
-    "atilde-kupisch",
-    "tube-trunc",
-)
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table.
+
+    ``bound_at(spec)`` is the Kupisch series as a function t -> l_t of the
+    last entry.  ``entries(spec)`` is the entry range [lo, hi]; on orbit
+    families it bounds only the first entry, which picks the canonical
+    representative.  ``cli_flags`` are the CLI destinations the family
+    requires, in the order ``from_flags(d, *values)`` takes them.
+    ``embedding(spec)`` gives the default ambient algebra of the
+    homological-embedding suite and the top Ext degree it compares.
+    """
+
+    name: str
+    cli_name: str
+    cli_flags: tuple[str, ...]
+    from_flags: Callable[..., "AlgebraSpec"]
+    entries: Callable[["AlgebraSpec"], tuple[int, int]]
+    bound_at: Callable[["AlgebraSpec"], Callable[[int], int]]
+    orbit: bool
+    suites: tuple[str, ...]
+    has_global_dimension_d: bool = False
+    embedding: Callable[["AlgebraSpec"], "tuple[AlgebraSpec, int] | None"] | None = None
+
+    @property
+    def series_variant(self) -> str:
+        return CYCLIC_A if self.orbit else LINEAR_A
+
+    @property
+    def truncated(self) -> bool:
+        """A truncation of an infinite category, whose values are rechecked one level up."""
+        return "trunc" in self.cli_flags
+
+
+def _first_n(spec: "AlgebraSpec") -> tuple[int, int]:
+    return 0, spec.n - 1
+
+
+def _window(spec: "AlgebraSpec") -> tuple[int, int]:
+    return spec.window
+
+
+def _wider_window(spec: "AlgebraSpec") -> tuple["AlgebraSpec", int]:
+    a, b = spec.window
+    return AlgebraSpec.window_spec(a - 1, b + 1, spec.d), spec.d + 1
+
+
+def _next_series(spec: "AlgebraSpec") -> tuple["AlgebraSpec", int] | None:
+    path = kupisch_hasse_path(spec.series)
+    if len(path) == 1:
+        return None
+    return AlgebraSpec.kupisch_a(path[1], spec.d), max(1, spec.d - 1)
+
+
+_COMMON_SUITES = ("hom-ext", "proj-inj", "kupisch-lengths", "tau-translate", "cluster-tilting")
+
+FAMILIES: dict[str, Family] = {
+    row.name: row
+    for row in (
+        Family("linear-a", "an", ("n",), lambda d, n: AlgebraSpec.linear_an(n, d),
+               entries=_first_n, bound_at=lambda spec: lambda t: t + 1, orbit=False,
+               suites=_COMMON_SUITES + ("resolutions", "endo-tower", "gldim"), has_global_dimension_d=True),
+        Family("kupisch-a", "kupisch-a", ("series",), lambda d, series: AlgebraSpec.kupisch_a(series, d),
+               entries=_first_n, bound_at=lambda spec: spec.series.length_at, orbit=False,
+               suites=_COMMON_SUITES + ("resolutions", "gldim", "hasse-tower", "homological-embedding"),
+               embedding=_next_series),
+        Family("window", "window", ("a", "b"), lambda d, a, b: AlgebraSpec.window_spec(a, b, d),
+               entries=_window, bound_at=lambda spec: lambda t: t - spec.window[0] + 1, orbit=False,
+               suites=_COMMON_SUITES + ("resolutions", "gldim", "homological-embedding"),
+               has_global_dimension_d=True, embedding=_wider_window),
+        Family("zl-window", "zl-window", ("bound", "a", "b"), lambda d, ell, a, b: AlgebraSpec.zl_window(ell, a, b, d),
+               entries=_window, bound_at=lambda spec: lambda t: min(t - spec.window[0] + 1, spec.bound), orbit=False,
+               suites=_COMMON_SUITES + ("resolutions", "gldim", "mesh-iso")),
+        Family("selfinj-atilde", "selfinj-atilde", ("n", "bound"), lambda d, n, ell: AlgebraSpec.selfinj_atilde(n, ell, d),
+               entries=_first_n, bound_at=lambda spec: lambda t: spec.bound, orbit=True,
+               suites=_COMMON_SUITES + ("selfinjective", "orbit-periodicity")),
+        Family("atilde-kupisch", "atilde-kupisch", ("series",), lambda d, series: AlgebraSpec.atilde_kupisch(series, d),
+               entries=_first_n, bound_at=lambda spec: spec.series.length_at, orbit=True,
+               suites=_COMMON_SUITES),
+        Family("tube-trunc", "tube-trunc", ("n", "trunc"), lambda d, n, trunc: AlgebraSpec.tube_trunc(n, d, trunc),
+               entries=_first_n, bound_at=lambda spec: lambda t: spec.bound, orbit=True,
+               suites=_COMMON_SUITES + ("orbit-periodicity",)),
+    )
+}
+
+# what a spec needs for each CLI destination its family requires
+_NEEDS: dict[str, tuple[str, Callable[["AlgebraSpec"], bool]]] = {
+    "n": ("n >= 1", lambda s: s.n is not None and s.n >= 1),
+    "series": ("a {variant} Kupisch series", lambda s: s.series is not None and s.series.variant == s.row.series_variant),
+    "bound": ("bound >= 2", lambda s: s.bound is not None and s.bound >= 2),
+    "trunc": ("truncation >= 1", lambda s: s.bound is not None and s.bound >= 1),
+    "a": ("a <= b", lambda s: s.window is not None and s.window[0] <= s.window[1]),
+    "b": ("a <= b", lambda s: s.window is not None and s.window[0] <= s.window[1]),
+}
 
 
 @dataclass(frozen=True)
@@ -125,45 +217,27 @@ class AlgebraSpec:
     def tube_trunc(n: int, d: int, trunc: int) -> "AlgebraSpec":
         return AlgebraSpec("tube-trunc", d, n=n, bound=trunc)
 
-    def validate(self) -> None:
+    @property
+    def row(self) -> Family:
+        """This spec's row of the family table."""
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        return FAMILIES[self.family]
+
+    def validate(self) -> None:
+        row = self.row
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        fam = self.family
-        if fam == "linear-a":
-            if self.n is None or self.n < 1:
-                raise ValueError("linear-a needs n >= 1")
-        elif fam == "kupisch-a":
-            if self.series is None or self.series.variant != LINEAR_A:
-                raise ValueError("kupisch-a needs a linear Kupisch series")
+        for flag in row.cli_flags:
+            what, holds = _NEEDS[flag]
+            if not holds(self):
+                raise ValueError(f"{self.family} needs {what.format(variant=row.series_variant)}")
+        if "series" in row.cli_flags:
             self.series.require_valid()
-        elif fam == "window":
-            if self.window is None or self.window[0] > self.window[1]:
-                raise ValueError("window needs a <= b")
-        elif fam == "zl-window":
-            if self.window is None or self.window[0] > self.window[1]:
-                raise ValueError("zl-window needs a <= b")
-            if self.bound is None or self.bound < 2:
-                raise ValueError("zl-window needs bound >= 2")
-        elif fam == "selfinj-atilde":
-            if self.n is None or self.n < 1:
-                raise ValueError("selfinj-atilde needs n >= 1")
-            if self.bound is None or self.bound < 2:
-                raise ValueError("selfinj-atilde needs bound >= 2")
-        elif fam == "atilde-kupisch":
-            if self.series is None or self.series.variant != CYCLIC_A:
-                raise ValueError("atilde-kupisch needs a cyclic Kupisch series")
-            self.series.require_valid()
-        elif fam == "tube-trunc":
-            if self.n is None or self.n < 1:
-                raise ValueError("tube-trunc needs n >= 1")
-            if self.bound is None or self.bound < 1:
-                raise ValueError("tube-trunc needs truncation >= 1")
 
     @property
     def is_orbit(self) -> bool:
-        return self.family in ("selfinj-atilde", "atilde-kupisch", "tube-trunc")
+        return self.row.orbit
 
     @property
     def orbit_modulus(self) -> int | None:
@@ -183,118 +257,43 @@ class AlgebraSpec:
 
     @staticmethod
     def from_describe(obj: dict) -> "AlgebraSpec":
-        fam = obj["family"]
-        series = None
-        if "series" in obj:
-            variant = CYCLIC_A if fam == "atilde-kupisch" else LINEAR_A
-            series = KupischSeries(variant, tuple(obj["series"]))
-        return AlgebraSpec(
-            fam,
+        spec = AlgebraSpec(
+            obj["family"],
             obj["d"],
             n=obj.get("n"),
-            series=series,
             bound=obj.get("bound"),
             window=tuple(obj["window"]) if "window" in obj else None,
         )
+        if "series" in obj:
+            spec = replace(spec, series=KupischSeries(spec.row.series_variant, tuple(obj["series"])))
+        return spec
 
     def __str__(self) -> str:
         return json.dumps(self.describe(), sort_keys=True)
 
 
-class PresentedAlgebra:
-    """A finite bound quiver algebra with a combinatorial basis predicate."""
+class BasisAlgebra:
+    """What every algebra the module toolkit runs on shares.
 
-    def __init__(self, spec: AlgebraSpec):
-        spec.validate()
-        self.spec = spec
-        self.d = spec.d
-        self.orbit_modulus = spec.orbit_modulus
-        self.vertices: tuple[IntTuple, ...] = tuple(sorted(self._vertex_set()))
+    An algebra is a finite category: vertices, and for each pair of vertices
+    a tuple of basis morphisms (``hom_basis``) whose composites are again
+    basis morphisms or zero (``compose`` returns None).  Subclasses set
+    ``d`` and implement ``hom_basis``, ``compose`` and ``_arrow_list``.
+    """
+
+    spec: AlgebraSpec | None = None
+    orbit_modulus: int | None = None
+    d: int
+
+    def __init__(self, vertices: Iterable[IntTuple]):
+        self.vertices: tuple[IntTuple, ...] = tuple(vertices)
         self._vset = frozenset(self.vertices)
         self._arrows: tuple[Arrow, ...] | None = None
-        self._arrows_from: dict[IntTuple, tuple[Arrow, ...]] | None = None
-        self._arrows_into: dict[IntTuple, tuple[Arrow, ...]] | None = None
+        self._arrow_tables: tuple[dict, dict] | None = None
         self._factor_cache: dict[BasisElt, list[BasisElt]] = {}
-        self._op: "OppositeAlgebra | None" = None
-
-    # ------------------------------------------------------------------ vertex sets
-
-    def _vertex_set(self) -> list[IntTuple]:
-        spec = self.spec
-        d = self.d
-        fam = spec.family
-        if fam == "linear-a":
-            return enumerate_os(spec.n, d)
-        if fam == "kupisch-a":
-            return restrict_os(spec.series, d)
-        if fam == "window":
-            return enumerate_window_os(spec.window[0], spec.window[1], d)
-        if fam == "zl-window":
-            a, b = spec.window
-            return [t for t in enumerate_window_os(a, b, d) if loewy_len(t) <= spec.bound]
-        # orbit families: canonical representatives with first entry in [0, n)
-        n = spec.n
-        out = []
-        for first in range(n):
-            hi = first + self._orbit_band() - 1
-            for rest in itertools.combinations_with_replacement(range(first, hi + 1), d - 1):
-                t = (first,) + rest
-                if self._ambient_vertex(t):
-                    out.append(t)
-        return out
-
-    def _orbit_band(self) -> int:
-        # ambient Hom out of a vertex dies beyond this Loewy reach
-        spec = self.spec
-        if spec.family == "atilde-kupisch":
-            return spec.series.max_length
-        return spec.bound
-
-    def _ambient_vertex(self, t: Sequence[int]) -> bool:
-        """Membership of an arbitrary integer tuple in the covering vertex set."""
-        spec = self.spec
-        if not is_os(t):
-            return False
-        fam = spec.family
-        if fam == "linear-a":
-            return 0 <= t[0] and t[-1] <= spec.n - 1
-        if fam == "kupisch-a":
-            return 0 <= t[0] and t[-1] <= spec.n - 1 and loewy_len(t) <= spec.series.lengths[t[-1]]
-        if fam == "window":
-            a, b = spec.window
-            return a <= t[0] and t[-1] <= b
-        if fam == "zl-window":
-            a, b = spec.window
-            return a <= t[0] and t[-1] <= b and loewy_len(t) <= spec.bound
-        if fam == "atilde-kupisch":
-            return loewy_len(t) <= spec.series.length_at(t[-1] % spec.n)
-        return loewy_len(t) <= spec.bound
-
-    def _ambient_hom(self, v: Sequence[int], u: Sequence[int]) -> bool:
-        """Nonvanishing of the covering-category Hom from v to the ambient tuple u.
-
-        Reduced box test: v interlaces u and every Loewy bound along the last
-        coordinate of the interval [v, u] is respected.  The worst tuple in
-        the box with last entry t has first entry v_1, so scanning t suffices.
-        """
-        spec = self.spec
-        if not interlaces(v, u):
-            return False
-        fam = spec.family
-        if fam in ("linear-a", "window"):
-            return self._ambient_vertex(u)
-        if fam == "kupisch-a":
-            if u[-1] > spec.n - 1:
-                return False
-            return all(t - v[0] + 1 <= spec.series.lengths[t] for t in range(v[-1], u[-1] + 1))
-        if fam == "zl-window":
-            return self._ambient_vertex(u) and u[-1] - v[0] + 1 <= spec.bound
-        if fam == "atilde-kupisch":
-            n = spec.n
-            return all(t - v[0] + 1 <= spec.series.length_at(t % n) for t in range(v[-1], u[-1] + 1))
-        return u[-1] - v[0] + 1 <= spec.bound
-
-    # ------------------------------------------------------------------ basis
+        self._proj_cache: dict = {}  # vertex -> indecomposable projective module
+        self._inj_cache: dict = {}  # vertex -> indecomposable injective module
+        self._op: BasisAlgebra | None = None
 
     def is_vertex(self, v: Sequence[int]) -> bool:
         return tuple(v) in self._vset
@@ -309,6 +308,116 @@ class PresentedAlgebra:
             raise ValueError(f"{t} is not a vertex")
         return t
 
+    def canonical(self, t: Sequence[int]) -> tuple[IntTuple, int]:
+        """The stored representative of t and the number of orbit shifts back to t."""
+        if self.orbit_modulus is None:
+            return tuple(t), 0
+        return canonical_orbit_rep(t, self.orbit_modulus)
+
+    def vertex_label(self, v: Sequence[int]) -> str:
+        return label(v)
+
+    def hom_dim(self, v: Sequence[int], w: Sequence[int]) -> int:
+        """Dimension of the Hom space; 0 for well-formed tuples outside the vertex set."""
+        v, w = tuple(v), tuple(w)
+        if v not in self._vset or w not in self._vset:  # vertices are well-formed
+            if len(as_os(v)) != self.d or len(as_os(w)) != self.d:
+                raise ValueError(f"expected {self.d}-tuples")
+        return len(self.hom_basis(v, w))
+
+    def identity(self, v: Sequence[int]) -> BasisElt:
+        v = self.require_vertex(v)
+        return BasisElt(v, v, 0)
+
+    def all_basis(self) -> list[BasisElt]:
+        return [b for v in self.vertices for w in self.vertices for b in self.hom_basis(v, w)]
+
+    def algebra_dimension(self) -> int:
+        return len(self.all_basis())
+
+    def arrows(self) -> tuple[Arrow, ...]:
+        if self._arrows is None:
+            self._arrows = self._arrow_list()
+        return self._arrows
+
+    def arrows_from(self, v: Sequence[int]) -> tuple[Arrow, ...]:
+        return self._tables()[0][tuple(v)]
+
+    def arrows_into(self, v: Sequence[int]) -> tuple[Arrow, ...]:
+        return self._tables()[1][tuple(v)]
+
+    def _tables(self) -> tuple[dict, dict]:
+        if self._arrow_tables is None:
+            out: dict[IntTuple, list[Arrow]] = {u: [] for u in self.vertices}
+            into: dict[IntTuple, list[Arrow]] = {u: [] for u in self.vertices}
+            for a in self.arrows():
+                out[a.src].append(a)
+                into[a.dst].append(a)
+            self._arrow_tables = (
+                {u: tuple(r) for u, r in out.items()},
+                {u: tuple(r) for u, r in into.items()},
+            )
+        return self._arrow_tables
+
+    def opposite(self) -> "BasisAlgebra":
+        if self._op is None:
+            self._op = OppositeAlgebra(self)
+        return self._op
+
+
+class PresentedAlgebra(BasisAlgebra):
+    """The algebra of a validated spec, with a combinatorial basis predicate."""
+
+    def __init__(self, spec: AlgebraSpec):
+        spec.validate()
+        self.spec = spec
+        self.d = spec.d
+        self.orbit_modulus = spec.orbit_modulus
+        self._lo, self._hi = spec.row.entries(spec)
+        self._bound_at = spec.row.bound_at(spec)
+        if self.orbit_modulus is not None:
+            # ambient Hom out of a vertex dies beyond this Loewy reach
+            self._band = max(self._bound_at(t) for t in range(self.orbit_modulus))
+        super().__init__(self._tuples(self.d))
+
+    # ------------------------------------------------------------------ the basis predicate
+
+    def _fits(self, first: int, last: int) -> bool:
+        """Whether the covering category holds an interval from first to last.
+
+        Both ends lie in the entry range (orbit families have none), and the
+        Loewy length is at most the series bound at the last entry.
+        """
+        if self.orbit_modulus is None and (first < self._lo or last > self._hi):
+            return False
+        return last - first + 1 <= self._bound_at(last)
+
+    def _tuples(self, k: int) -> list[IntTuple]:
+        """The family's weakly increasing k-tuples in lex order: vertices (k = d), summands (k = d + 1)."""
+        out = []
+        for first in range(self._lo, self._hi + 1):
+            top = self._hi if self.orbit_modulus is None else first + self._band - 1
+            for rest in itertools.combinations_with_replacement(range(first, top + 1), k - 1):
+                if self._fits(first, rest[-1] if rest else first):
+                    out.append((first,) + rest)
+        return out
+
+    def _ambient_vertex(self, t: Sequence[int]) -> bool:
+        """Membership of an arbitrary integer tuple in the covering vertex set."""
+        return is_os(t) and self._fits(t[0], t[-1])
+
+    def _ambient_hom(self, v: Sequence[int], u: Sequence[int]) -> bool:
+        """Nonvanishing of the covering-category Hom from the vertex v to the ambient tuple u.
+
+        Reduced box test: v interlaces u and the bound holds at the far corner
+        of the interval [v, u].  The worst tuple in the box with last entry t
+        starts at v_1, and a valid series has l_t <= l_{t-1} + 1, so the
+        slack l_t - (t - v_1 + 1) never grows with t: t = u_d is the worst.
+        """
+        return interlaces(v, u) and self._fits(v[0], u[-1])
+
+    # ------------------------------------------------------------------ basis
+
     def shifted(self, t: Sequence[int], k: int) -> IntTuple:
         n = self.orbit_modulus
         return tuple(x + k * n for x in t) if n else tuple(t)
@@ -321,23 +430,12 @@ class PresentedAlgebra:
         if n is None:
             return (BasisElt(v, w, 0),) if self._ambient_hom(v, w) else ()
         lo = -((w[0] - v[0]) // n)  # ceil((v0 - w0)/n)
-        hi = (v[0] + self._orbit_band() - 1 - w[-1]) // n
+        hi = (v[0] + self._band - 1 - w[-1]) // n
         out = []
         for k in range(lo, hi + 1):
             if self._ambient_hom(v, self.shifted(w, k)):
                 out.append(BasisElt(v, w, k))
         return tuple(out)
-
-    def hom_dim(self, v: Sequence[int], w: Sequence[int]) -> int:
-        """Dimension of the Hom space; 0 for well-formed tuples outside the vertex set."""
-        v, w = as_os(v), as_os(w)
-        if len(v) != self.d or len(w) != self.d:
-            raise ValueError(f"expected {self.d}-tuples")
-        return len(self.hom_basis(v, w))
-
-    def identity(self, v: Sequence[int]) -> BasisElt:
-        v = self.require_vertex(v)
-        return BasisElt(v, v, 0)
 
     def compose(self, f: BasisElt, g: BasisElt) -> BasisElt | None:
         """Composite of f: a -> b followed by g: b -> c, or None when zero."""
@@ -352,101 +450,29 @@ class PresentedAlgebra:
         u = self.shifted(b.dst, b.shift)
         return sum(u_i - v_i for u_i, v_i in zip(u, b.src))
 
-    def all_basis(self) -> list[BasisElt]:
-        out = []
+    def _arrow_list(self) -> tuple[Arrow, ...]:
+        found = []
         for v in self.vertices:
-            for w in self.vertices:
-                out.extend(self.hom_basis(v, w))
-        return out
-
-    def algebra_dimension(self) -> int:
-        return sum(self.hom_dim(v, w) for v in self.vertices for w in self.vertices)
-
-    # ------------------------------------------------------------------ arrows
-
-    def arrows(self) -> tuple[Arrow, ...]:
-        if self._arrows is None:
-            found = []
-            for v in self.vertices:
-                for i in range(self.d):
-                    t = v[:i] + (v[i] + 1,) + v[i + 1 :]
-                    if not is_os(t) or not self._ambient_vertex(t):
-                        continue
-                    if self.orbit_modulus is None:
-                        found.append(Arrow(v, i, t, 0))
-                    else:
-                        rep, s = canonical_orbit_rep(t, self.orbit_modulus)
-                        found.append(Arrow(v, i, rep, s))
-            self._arrows = tuple(found)
-        return self._arrows
-
-    def arrows_from(self, v: Sequence[int]) -> tuple[Arrow, ...]:
-        if self._arrows_from is None:
-            table: dict[IntTuple, list[Arrow]] = {u: [] for u in self.vertices}
-            for a in self.arrows():
-                table[a.src].append(a)
-            self._arrows_from = {u: tuple(r) for u, r in table.items()}
-        return self._arrows_from[tuple(v)]
-
-    def arrows_into(self, v: Sequence[int]) -> tuple[Arrow, ...]:
-        if self._arrows_into is None:
-            table: dict[IntTuple, list[Arrow]] = {u: [] for u in self.vertices}
-            for a in self.arrows():
-                table[a.dst].append(a)
-            self._arrows_into = {u: tuple(r) for u, r in table.items()}
-        return self._arrows_into[tuple(v)]
+            for i in range(self.d):
+                t = v[:i] + (v[i] + 1,) + v[i + 1 :]
+                if self._ambient_vertex(t):
+                    rep, s = self.canonical(t)
+                    found.append(Arrow(v, i, rep, s))
+        return tuple(found)
 
     # ------------------------------------------------------------------ module-level combinatorics
 
     def summands(self) -> list[IntTuple]:
         """Index tuples (length d+1) of the distinguished module's summands."""
-        spec = self.spec
-        d1 = self.d + 1
-        fam = spec.family
-        if fam == "linear-a":
-            return enumerate_os(spec.n, d1)
-        if fam == "kupisch-a":
-            return restrict_os(spec.series, d1)
-        if fam == "window":
-            return enumerate_window_os(spec.window[0], spec.window[1], d1)
-        if fam == "zl-window":
-            a, b = spec.window
-            return [t for t in enumerate_window_os(a, b, d1) if loewy_len(t) <= spec.bound]
-        n = spec.n
-        out = []
-        for first in range(n):
-            hi = first + self._orbit_band() - 1
-            for rest in itertools.combinations_with_replacement(range(first, hi + 1), d1 - 1):
-                t = (first,) + rest
-                if self._summand_allowed(t):
-                    out.append(t)
-        return sorted(out)
-
-    def _summand_allowed(self, t: IntTuple) -> bool:
-        spec = self.spec
-        if spec.family == "atilde-kupisch":
-            return loewy_len(t) <= spec.series.length_at(t[-1] % spec.n)
-        return loewy_len(t) <= spec.bound
+        return self._tuples(self.d + 1)
 
     def is_summand(self, lam: Sequence[int]) -> bool:
         t = tuple(lam)
         if len(t) != self.d + 1 or not is_os(t):
             return False
-        spec = self.spec
-        fam = spec.family
-        if fam == "linear-a":
-            return 0 <= t[0] and t[-1] <= spec.n - 1
-        if fam == "kupisch-a":
-            return 0 <= t[0] and t[-1] <= spec.n - 1 and loewy_len(t) <= spec.series.lengths[t[-1]]
-        if fam == "window":
-            a, b = spec.window
-            return a <= t[0] and t[-1] <= b
-        if fam == "zl-window":
-            a, b = spec.window
-            return a <= t[0] and t[-1] <= b and loewy_len(t) <= spec.bound
-        if not 0 <= t[0] < spec.n:
+        if self.orbit_modulus is not None and not self._lo <= t[0] <= self._hi:
             return False
-        return self._summand_allowed(t)
+        return self._fits(t[0], t[-1])
 
     def module_hom_formula(self, lam: Sequence[int], mu: Sequence[int]) -> int:
         """Closed-form dim Hom between the interval modules at lam and mu.
@@ -468,7 +494,7 @@ class PresentedAlgebra:
     @property
     def has_global_dimension_d(self) -> bool:
         """Families whose nonprojective summands have projective dimension exactly d."""
-        return self.spec.family in ("linear-a", "window")
+        return self.spec.row.has_global_dimension_d
 
     def top_ext_formula(self, lam: Sequence[int], mu: Sequence[int]) -> int:
         """Closed-form dim of the degree-d extension space (hereditary-type families only)."""
@@ -492,107 +518,42 @@ class PresentedAlgebra:
         lo, hi = lam[:-1], lam[1:]
         support: dict[IntTuple, list[int]] = {}
         for t in box_interval(lo, hi):
-            if self.orbit_modulus is None:
-                rep, s = t, 0
-            else:
-                rep, s = canonical_orbit_rep(t, self.orbit_modulus)
+            rep, s = self.canonical(t)
             if rep in self._vset:
                 support.setdefault(rep, []).append(s)
         for shifts in support.values():
             shifts.sort()
         return support
 
-    # ------------------------------------------------------------------ misc
-
-    def vertex_label(self, v: Sequence[int]) -> str:
-        return label(v)
-
-    def opposite(self) -> "OppositeAlgebra":
-        if self._op is None:
-            self._op = OppositeAlgebra(self)
-        return self._op
-
     def __repr__(self) -> str:
         return f"PresentedAlgebra({self.spec})"
 
 
-class OppositeAlgebra:
+class OppositeAlgebra(BasisAlgebra):
     """The same vertices with all basis morphisms formally reversed."""
 
-    def __init__(self, base):
+    def __init__(self, base: BasisAlgebra):
+        super().__init__(base.vertices)
         self.base = base
         self.spec = base.spec
         self.d = base.d
         self.orbit_modulus = base.orbit_modulus
-        self.vertices = base.vertices
-        self._vset = frozenset(base.vertices)
-        self._arrows: tuple[Arrow, ...] | None = None
-        self._arrows_from: dict[IntTuple, tuple[Arrow, ...]] | None = None
-        self._arrows_into: dict[IntTuple, tuple[Arrow, ...]] | None = None
-        self._factor_cache: dict[BasisElt, list[BasisElt]] = {}
-
-    @staticmethod
-    def _flip(b: BasisElt) -> BasisElt:
-        return BasisElt(b.dst, b.src, -b.shift)
-
-    def is_vertex(self, v) -> bool:
-        return tuple(v) in self._vset
-
-    def require_vertex(self, v):
-        return self.base.require_vertex(v)
+        self._op = base
 
     def hom_basis(self, v, w) -> tuple[BasisElt, ...]:
-        return tuple(self._flip(b) for b in self.base.hom_basis(tuple(w), tuple(v)))
-
-    def hom_dim(self, v, w) -> int:
-        return self.base.hom_dim(tuple(w), tuple(v))
-
-    def identity(self, v) -> BasisElt:
-        return self.base.identity(v)
+        return tuple(b.flipped() for b in self.base.hom_basis(tuple(w), tuple(v)))
 
     def compose(self, f: BasisElt, g: BasisElt) -> BasisElt | None:
         if f.dst != g.src:
             raise ValueError(f"non-composable pair {f} , {g}")
-        res = self.base.compose(self._flip(g), self._flip(f))
-        return None if res is None else self._flip(res)
+        res = self.base.compose(g.flipped(), f.flipped())
+        return None if res is None else res.flipped()
 
     def path_length(self, b: BasisElt) -> int:
-        return self.base.path_length(self._flip(b))
+        return self.base.path_length(b.flipped())
 
-    def arrows(self) -> tuple[Arrow, ...]:
-        if self._arrows is None:
-            self._arrows = tuple(
-                sorted(Arrow(a.dst, a.direction, a.src, -a.shift) for a in self.base.arrows())
-            )
-        return self._arrows
-
-    def arrows_from(self, v) -> tuple[Arrow, ...]:
-        if self._arrows_from is None:
-            table: dict[IntTuple, list[Arrow]] = {u: [] for u in self.vertices}
-            for a in self.arrows():
-                table[a.src].append(a)
-            self._arrows_from = {u: tuple(r) for u, r in table.items()}
-        return self._arrows_from[tuple(v)]
-
-    def arrows_into(self, v) -> tuple[Arrow, ...]:
-        if self._arrows_into is None:
-            table: dict[IntTuple, list[Arrow]] = {u: [] for u in self.vertices}
-            for a in self.arrows():
-                table[a.dst].append(a)
-            self._arrows_into = {u: tuple(r) for u, r in table.items()}
-        return self._arrows_into[tuple(v)]
-
-    def all_basis(self) -> list[BasisElt]:
-        return [self._flip(b) for b in self.base.all_basis()]
-
-    def algebra_dimension(self) -> int:
-        return self.base.algebra_dimension()
-
-    def vertex_label(self, v) -> str:
-        return label(v)
-
-    def opposite(self):
-        return self.base
+    def _arrow_list(self) -> tuple[Arrow, ...]:
+        return tuple(sorted(Arrow(a.dst, a.direction, a.src, -a.shift) for a in self.base.arrows()))
 
     def __repr__(self) -> str:
         return f"Opposite({self.base!r})"
@@ -932,7 +893,8 @@ class MeshPresentation:
 
     Vertices are pairs (p, s) with p a weakly increasing nonnegative slope
     tuple of length d and s the slice index; they correspond to the
-    (d+1)-tuples of the standard presentation via ``mesh_from_coordinates``.
+    (d+1)-tuples of the standard presentation via ``mesh_from_coordinates``
+    and back via ``mesh_coordinates``.
     Arrows: b_1..b_d move within a slice (p -> p + e_i), the connecting
     arrow b_0 drops all slopes by one and advances the slice, and exists
     exactly when p_1 > 0.  Relations: slice commutators and the mixed
@@ -949,10 +911,6 @@ class MeshPresentation:
 
     def to_standard(self, v: MeshVertex) -> IntTuple:
         return mesh_from_coordinates(v[0], v[1])
-
-    @staticmethod
-    def from_standard(lam: Sequence[int]) -> MeshVertex:
-        return tuple(a - lam[0] for a in lam[1:]), lam[0]
 
     def standard_spec(self) -> AlgebraSpec:
         a, b = self.window
@@ -975,7 +933,7 @@ def mesh_presentation(d: int, bound: int | None, window: tuple[int, int]) -> Mes
         else AlgebraSpec.zl_window(bound, a, b, d + 1)
     )
     std = build(std_spec)
-    vertices = tuple(sorted(MeshPresentation.from_standard(lam) for lam in std.vertices))
+    vertices = tuple(sorted(mesh_coordinates(lam) for lam in std.vertices))
     vset = set(vertices)
 
     arrows: list[QArrow] = []

@@ -10,19 +10,18 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algebras import AlgebraSpec, build, mesh_presentation
 from .combinat import (
     IntTuple,
-    canonical_orbit_rep,
     kupisch_hasse_path,
     loewy_len,
+    mesh_coordinates,
     nakayama_permutation,
     nakayama_permutation_inverse,
     translate_tuple,
 )
-from .linalg import Mat
 from .reps import (
     CapExceeded,
     MatrixModule,
@@ -32,6 +31,7 @@ from .reps import (
     gldim,
     domdim,
     hom_space,
+    hom_span_rank,
     injective_module,
     interval_module,
     is_injective,
@@ -127,6 +127,11 @@ def _iso_ok(M: MatrixModule, N: MatrixModule) -> tuple[bool, str]:
     return False, "undetermined"
 
 
+def _require_suite(spec: AlgebraSpec, name: str) -> None:
+    if name not in spec.row.suites:
+        raise ValueError(f"{name} does not apply to {spec.family}")
+
+
 # --------------------------------------------------------------------- hom / ext formulas
 
 
@@ -171,14 +176,10 @@ def check_hom_ext_formulas(spec: AlgebraSpec) -> CheckReport:
     covers = {l: projective_cover(mods[l])[1] for l in lams}
     for lam in lams:
         for mu in lams:
-            if hom_dims[(lam, mu)] == 0:
-                stable = 0
-            else:
+            stable = hom_dims[(lam, mu)]
+            if stable:
                 pi = covers[mu]
-                through = [g.then(pi).flatten() for g in hom_space(mods[lam], pi.src)]
-                through = [v for v in through if any(x != 0 for x in v)]
-                rank = Mat.from_rows(through).rank() if through else 0
-                stable = hom_dims[(lam, mu)] - rank
+                stable -= hom_span_rank([g.then(pi) for g in hom_space(mods[lam], pi.src)])
             got = ext_dim_from_resolution(resolutions[mu], taus[lam], d)
             ar.record(got == stable, lam=lam, mu=mu, ext=got, stable_hom=stable)
     items.append(ar.item())
@@ -189,29 +190,13 @@ def check_hom_ext_formulas(spec: AlgebraSpec) -> CheckReport:
 # --------------------------------------------------------------------- resolutions
 
 
-def _effective_series(spec: AlgebraSpec):
-    """(first vertex entry, last vertex entry, Loewy bound at t) for the linear families."""
-    if spec.family == "linear-a":
-        return 0, spec.n - 1, lambda t: t + 1
-    if spec.family == "kupisch-a":
-        return 0, spec.n - 1, lambda t: spec.series.lengths[t]
-    if spec.family == "window":
-        a, b = spec.window
-        return a, b, lambda t: t - a + 1
-    if spec.family == "zl-window":
-        a, b = spec.window
-        return a, b, lambda t: min(t - a + 1, spec.bound)
-    return None
-
-
 def check_resolutions(spec: AlgebraSpec) -> CheckReport:
     """Projective resolutions, injective coresolutions and d-fold syzygies in closed form."""
+    _require_suite(spec, "resolutions")
     alg = build(spec)
     d = alg.d
-    eff = _effective_series(spec)
-    if eff is None:
-        raise ValueError("resolution suite applies to the linear families")
-    first, last, bound_at = eff
+    first, last = spec.row.entries(spec)
+    bound_at = spec.row.bound_at(spec)
     lams = alg.summands()
     items = []
 
@@ -268,34 +253,14 @@ def check_resolutions(spec: AlgebraSpec) -> CheckReport:
 
 def _expected_projective_index(alg, v: IntTuple) -> IntTuple:
     spec = alg.spec
-    eff = _effective_series(spec)
-    if eff is not None:
-        _, _, bound_at = eff
-        return (v[-1] + 1 - bound_at(v[-1]),) + v
-    if spec.family == "atilde-kupisch":
-        return (v[-1] + 1 - spec.series.length_at(v[-1] % spec.n),) + v
-    return (v[-1] + 1 - spec.bound,) + v
+    return (v[-1] + 1 - spec.row.bound_at(spec)(v[-1]),) + v
 
 
 def _expected_injective_index(alg, v: IntTuple) -> IntTuple:
-    spec = alg.spec
-    if spec.family in ("linear-a", "kupisch-a", "window", "zl-window"):
-        _, last, _ = _effective_series(spec)
-        y = v[-1]
-        while y + 1 <= last and alg.is_summand(v + (y + 1,)):
-            y += 1
-        return v + (y,)
     y = v[-1]
-    while alg._summand_allowed(v + (y + 1,)):
+    while alg.is_summand(v + (y + 1,)):
         y += 1
     return v + (y,)
-
-
-def _canonical_summand(alg, lam: IntTuple) -> IntTuple:
-    if alg.orbit_modulus is None:
-        return lam
-    rep, _ = canonical_orbit_rep(lam, alg.orbit_modulus)
-    return rep
 
 
 def check_proj_inj(spec: AlgebraSpec) -> CheckReport:
@@ -304,16 +269,16 @@ def check_proj_inj(spec: AlgebraSpec) -> CheckReport:
     proj = _Claim("projective.realizes_closed_form_interval")
     inj = _Claim("injective.realizes_closed_form_interval")
     for v in alg.vertices:
-        p_index = _canonical_summand(alg, _expected_projective_index(alg, v))
+        p_index, _ = alg.canonical(_expected_projective_index(alg, v))
         ok, why = _iso_ok(projective_module(alg, v), interval_module(alg, p_index))
         proj.record(ok and alg.is_summand(p_index), vertex=v, expected=p_index, reason=why)
-        i_index = _canonical_summand(alg, _expected_injective_index(alg, v))
+        i_index, _ = alg.canonical(_expected_injective_index(alg, v))
         ok, why = _iso_ok(injective_module(alg, v), interval_module(alg, i_index))
         inj.record(ok and alg.is_summand(i_index), vertex=v, expected=i_index, reason=why)
 
     flags = _Claim("summand.projectivity_matches_closed_form")
     for lam in alg.summands():
-        want = lam == _canonical_summand(alg, _expected_projective_index(alg, tuple(lam[1:])))
+        want = lam == alg.canonical(_expected_projective_index(alg, tuple(lam[1:])))[0]
         got = is_projective(interval_module(alg, lam))
         flags.record(got == want, lam=lam, got=got, want=want)
     return CheckReport("proj-inj", spec.describe(), [proj.item(), inj.item(), flags.item()])
@@ -323,20 +288,9 @@ def check_kupisch_lengths(spec: AlgebraSpec) -> CheckReport:
     """Loewy length of the projective at each constant vertex equals the series entry."""
     alg = build(spec)
     claim = _Claim("projective.loewy_length_matches_series")
-    eff = _effective_series(spec)
-    rng = None
-    if eff is not None:
-        first, last, bound_at = eff
-        rng = range(first, last + 1)
-    else:
-        n = spec.n
-        bound_at = (
-            (lambda t: spec.series.length_at(t % n))
-            if spec.family == "atilde-kupisch"
-            else (lambda t: spec.bound)
-        )
-        rng = range(n)
-    for i in rng:
+    first, last = spec.row.entries(spec)
+    bound_at = spec.row.bound_at(spec)
+    for i in range(first, last + 1):
         v = (i,) * alg.d
         got = loewy_length_module(projective_module(alg, v))
         want = bound_at(i)
@@ -363,7 +317,7 @@ def check_tau_translate(spec: AlgebraSpec) -> CheckReport:
             if loewy_len(lam) == 1:
                 simples.record(t.is_zero(), lam=lam)
             continue
-        expected_index = _canonical_summand(alg, translate_tuple(lam, 1))
+        expected_index, _ = alg.canonical(translate_tuple(lam, 1))
         if not alg.is_summand(expected_index):
             agree.record(False, lam=lam, reason="translated index leaves the summand set")
             continue
@@ -456,11 +410,10 @@ def check_cluster_tilting(spec: AlgebraSpec) -> CheckReport:
 
 def check_endo_tower(spec: AlgebraSpec) -> CheckReport:
     """The endomorphism algebra of the distinguished module is the next algebra up."""
-    if spec.family != "linear-a":
-        raise ValueError("endo-tower applies to the linear family")
+    _require_suite(spec, "endo-tower")
     alg = build(spec)
     end = endo_algebra(alg)
-    target = build(AlgebraSpec.linear_an(spec.n, spec.d + 1))
+    target = build(replace(spec, d=spec.d + 1))
     report = CheckReport("endo-tower", spec.describe())
 
     verts = _Claim("endo.summand_labels_match_next_vertex_set")
@@ -615,7 +568,7 @@ def check_mesh_iso(d: int, bound: int | None, window: tuple[int, int]) -> CheckR
         for w in std.vertices:
             if std.hom_dim(v, w):
                 b = std.hom_basis(v, w)[0]
-                mv, mw = mesh.from_standard(v), mesh.from_standard(w)
+                mv, mw = mesh_coordinates(v), mesh_coordinates(w)
                 want[(mv, mw)] = {std.path_length(b): 1}
     graded.record(got == want, got_pairs=len(got), want_pairs=len(want))
     if got != want:
@@ -666,8 +619,9 @@ def check_gldim(spec: AlgebraSpec) -> CheckReport:
     cap = max(default_cap(alg), 2 * d + 2)
     report = CheckReport("gldim", spec.describe())
     value = gldim(alg, cap)
-    if spec.family in ("linear-a", "window"):
-        n = spec.n if spec.n is not None else spec.window[1] - spec.window[0] + 1
+    if alg.has_global_dimension_d:
+        first, last = spec.row.entries(spec)
+        n = last - first + 1
         claim = _Claim("gldim.hereditary_type_equals_d")
         claim.record(value == (d if n >= 2 else 0), got=value, want=d if n >= 2 else 0)
         report.items.append(claim.item())
@@ -680,8 +634,7 @@ def check_gldim(spec: AlgebraSpec) -> CheckReport:
 
 def check_hasse_tower(spec: AlgebraSpec) -> CheckReport:
     """Cluster-tilting certificates hold along the whole path up to the full series."""
-    if spec.family != "kupisch-a":
-        raise ValueError("hasse-tower applies to kupisch-a")
+    _require_suite(spec, "hasse-tower")
     report = CheckReport("hasse-tower", spec.describe())
     for series in kupisch_hasse_path(spec.series):
         sub = AlgebraSpec.kupisch_a(series, spec.d)
@@ -696,14 +649,8 @@ def check_hasse_tower(spec: AlgebraSpec) -> CheckReport:
 
 
 def default_embedding_partner(spec: AlgebraSpec) -> AlgebraSpec | None:
-    if spec.family == "window":
-        a, b = spec.window
-        return AlgebraSpec.window_spec(a - 1, b + 1, spec.d)
-    if spec.family == "kupisch-a":
-        path = kupisch_hasse_path(spec.series)
-        if len(path) > 1:
-            return AlgebraSpec.kupisch_a(path[1], spec.d)
-    return None
+    found = spec.row.embedding and spec.row.embedding(spec)
+    return found[0] if found else None
 
 
 SUITES = {
@@ -722,27 +669,11 @@ SUITES = {
 
 
 def applicable_suites(spec: AlgebraSpec) -> list[str]:
-    common = ["hom-ext", "proj-inj", "kupisch-lengths", "tau-translate", "cluster-tilting"]
-    fam = spec.family
-    if fam == "linear-a":
-        return common + ["resolutions", "endo-tower", "gldim"]
-    if fam == "kupisch-a":
-        return common + ["resolutions", "gldim", "hasse-tower", "homological-embedding"]
-    if fam == "window":
-        return common + ["resolutions", "gldim", "homological-embedding"]
-    if fam == "zl-window":
-        extra = ["resolutions", "gldim"]
-        if spec.d >= 2:
-            extra.append("mesh-iso")
-        return common + extra
-    if fam == "selfinj-atilde":
-        return common + ["selfinjective", "orbit-periodicity"]
-    if fam == "atilde-kupisch":
-        return common
-    return common + ["orbit-periodicity"]
+    # the mesh presentation of a d-family has slope tuples of length d - 1
+    return [name for name in spec.row.suites if name != "mesh-iso" or spec.d >= 2]
 
 
-DESK_SCALE = {"n": 5, "d": 3, "bound": 4, "tube_trunc": 6}
+DESK_SCALE = {"n": 5, "d": 3, "bound": 4, "trunc": 6}
 
 
 def warn_beyond_desk_scale(spec: AlgebraSpec) -> None:
@@ -754,11 +685,9 @@ def warn_beyond_desk_scale(spec: AlgebraSpec) -> None:
         too_big.append(f"n={spec.n}")
     if spec.d > DESK_SCALE["d"]:
         too_big.append(f"d={spec.d}")
-    if spec.family == "tube-trunc":
-        if spec.bound > DESK_SCALE["tube_trunc"]:
-            too_big.append(f"trunc={spec.bound}")
-    elif spec.bound is not None and spec.bound > DESK_SCALE["bound"]:
-        too_big.append(f"bound={spec.bound}")
+    bound_name = "trunc" if spec.row.truncated else "bound"
+    if spec.bound is not None and spec.bound > DESK_SCALE[bound_name]:
+        too_big.append(f"{bound_name}={spec.bound}")
     if spec.window is not None and spec.window[1] - spec.window[0] + 1 > 2 * DESK_SCALE["bound"] + 1:
         too_big.append(f"window_span={spec.window[1] - spec.window[0] + 1}")
     if too_big:
@@ -773,13 +702,12 @@ def warn_beyond_desk_scale(spec: AlgebraSpec) -> None:
 def run_suite(spec: AlgebraSpec, name: str) -> CheckReport:
     warn_beyond_desk_scale(spec)
     if name == "homological-embedding":
-        partner = default_embedding_partner(spec)
-        if partner is None:
+        found = spec.row.embedding and spec.row.embedding(spec)
+        if not found:
             raise ValueError("no default ambient algebra for this spec")
-        degree = spec.d + 1 if spec.family == "window" else max(1, spec.d - 1)
-        return check_homological_embedding(spec, partner, degree)
+        return check_homological_embedding(spec, *found)
     if name == "mesh-iso":
-        if spec.family != "zl-window" or spec.d < 2:
+        if name not in applicable_suites(spec):
             raise ValueError("mesh-iso needs a zl-window spec with d >= 2")
         return check_mesh_iso(spec.d - 1, spec.bound, spec.window)
     fn = SUITES.get(name)

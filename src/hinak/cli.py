@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebras import AlgebraSpec, build, export_dot, export_json, export_qpa
+from .algebras import FAMILIES, AlgebraSpec, build, export_dot, export_json, export_qpa
 from .checks import run_all, run_suite
 from .combinat import as_os, canonical_orbit_rep, loewy_len
 from .reps import (
@@ -32,6 +32,8 @@ from .reps import (
 USAGE_ERROR = 2
 CAP_ERROR = 3
 
+_BY_CLI_NAME = {row.cli_name: row for row in FAMILIES.values()}
+
 
 def _tuple_flag(text: str) -> tuple[int, ...]:
     try:
@@ -41,19 +43,7 @@ def _tuple_flag(text: str) -> tuple[int, ...]:
 
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "an",
-            "kupisch-a",
-            "window",
-            "zl-window",
-            "selfinj-atilde",
-            "atilde-kupisch",
-            "tube-trunc",
-        ],
-    )
+    p.add_argument("--family", required=True, choices=list(_BY_CLI_NAME))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--series", type=_tuple_flag)
@@ -64,27 +54,8 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args) -> AlgebraSpec:
-    fam = args.family
-    if fam == "an":
-        _need(args, "n")
-        return AlgebraSpec.linear_an(args.n, args.d)
-    if fam == "kupisch-a":
-        _need(args, "series")
-        return AlgebraSpec.kupisch_a(args.series, args.d)
-    if fam == "window":
-        _need(args, "a"), _need(args, "b")
-        return AlgebraSpec.window_spec(args.a, args.b, args.d)
-    if fam == "zl-window":
-        _need(args, "bound"), _need(args, "a"), _need(args, "b")
-        return AlgebraSpec.zl_window(args.bound, args.a, args.b, args.d)
-    if fam == "selfinj-atilde":
-        _need(args, "n"), _need(args, "bound")
-        return AlgebraSpec.selfinj_atilde(args.n, args.bound, args.d)
-    if fam == "atilde-kupisch":
-        _need(args, "series")
-        return AlgebraSpec.atilde_kupisch(args.series, args.d)
-    _need(args, "n"), _need(args, "trunc")
-    return AlgebraSpec.tube_trunc(args.n, args.d, args.trunc)
+    row = _BY_CLI_NAME[args.family]
+    return row.from_flags(args.d, *[_need(args, flag) for flag in row.cli_flags])
 
 
 class UsageError(RuntimeError):
@@ -147,15 +118,15 @@ def cmd_resolve(args) -> int:
 
 def cmd_ext(args) -> int:
     spec = _spec_from_args(args)
-    alg = build(spec)
     lam, mu = as_os(args.src), as_os(args.dst)
-    if spec.family == "tube-trunc":
+    if spec.row.truncated:
         val, stable = orbit_ext_dim(spec, lam, mu, args.degree)
         sys.stdout.write(f"{val}\n")
         if not stable:
             sys.stderr.write("extension dimension did not stabilize across truncations\n")
             return CAP_ERROR
         return 0
+    alg = build(spec)
     val = ext_dim(interval_module(alg, lam), interval_module(alg, mu), args.degree)
     sys.stdout.write(f"{val}\n")
     return 0

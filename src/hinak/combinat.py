@@ -7,10 +7,8 @@ tuples are plain Python tuples of ints; positions are 0-indexed in storage
 and rendered 1-indexed (as ``x_1,...,x_k``) only in textual output.
 
 A Kupisch series records the Loewy lengths of the indecomposable projective
-modules of a Nakayama algebra along its linear or cyclic quiver.  Four
-variants are supported: ``linear-a`` and ``cyclic-a`` (finite tuples),
-``constant-z`` (a single bound repeated over all integers) and
-``periodic-inf`` (a periodic bi-infinite series given by one period).
+modules of a Nakayama algebra along its linear or cyclic quiver: the
+``linear-a`` and ``cyclic-a`` variants.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ IntTuple = tuple[int, ...]
 
 LINEAR_A = "linear-a"
 CYCLIC_A = "cyclic-a"
-CONSTANT_Z = "constant-z"
-PERIODIC_INF = "periodic-inf"
 
 
 def as_os(entries: Iterable[int]) -> IntTuple:
@@ -175,11 +171,7 @@ def nakayama_permutation_inverse(lam: Sequence[int], ell: int) -> IntTuple:
 
 @dataclass(frozen=True)
 class KupischSeries:
-    """A validated tuple of projective Loewy lengths.
-
-    ``lengths`` is the full tuple for the finite variants, the single bound
-    for ``constant-z``, and one period for ``periodic-inf``.
-    """
+    """A validated tuple of projective Loewy lengths, one per quiver vertex."""
 
     variant: str
     lengths: IntTuple
@@ -192,17 +184,9 @@ class KupischSeries:
     def cyclic_a(lengths: Iterable[int]) -> "KupischSeries":
         return KupischSeries(CYCLIC_A, tuple(int(x) for x in lengths))
 
-    @staticmethod
-    def constant_z(ell: int) -> "KupischSeries":
-        return KupischSeries(CONSTANT_Z, (int(ell),))
-
-    @staticmethod
-    def periodic_inf(period: Iterable[int]) -> "KupischSeries":
-        return KupischSeries(PERIODIC_INF, tuple(int(x) for x in period))
-
     @property
     def size(self) -> int:
-        """Number of vertices of the underlying quiver (period for infinite variants)."""
+        """Number of vertices of the underlying quiver."""
         return len(self.lengths)
 
     @property
@@ -223,19 +207,13 @@ class KupischSeries:
                 if ls[i] > ls[i - 1] + 1:
                     return f"violation at i={i} ({ls[i]} > {ls[i - 1]}+1)"
             return None
-        if self.variant in (CYCLIC_A, PERIODIC_INF):
+        if self.variant == CYCLIC_A:
             n = len(ls)
             for i in range(n):
                 if ls[i] < 2:
                     return f"violation at i={i} ({ls[i]} < 2)"
                 if ls[i] > ls[(i - 1) % n] + 1:
                     return f"violation at i={i} ({ls[i]} > {ls[(i - 1) % n]}+1)"
-            return None
-        if self.variant == CONSTANT_Z:
-            if len(ls) != 1:
-                return "constant series takes a single bound"
-            if ls[0] < 2:
-                return f"violation (bound {ls[0]} < 2)"
             return None
         return f"unknown variant {self.variant!r}"
 
@@ -250,16 +228,7 @@ class KupischSeries:
             if not 0 <= i < len(self.lengths):
                 raise IndexError(f"vertex {i} out of range")
             return self.lengths[i]
-        if self.variant in (CYCLIC_A, PERIODIC_INF):
-            return self.lengths[i % len(self.lengths)]
-        return self.lengths[0]
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "lengths": list(self.lengths)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "KupischSeries":
-        return KupischSeries(obj["variant"], tuple(obj["lengths"]))
+        return self.lengths[i % len(self.lengths)]
 
 
 def validate_kupisch(series: KupischSeries) -> str | None:
@@ -267,34 +236,27 @@ def validate_kupisch(series: KupischSeries) -> str | None:
     return series.violation()
 
 
-def restrict_os(series: KupischSeries, k: int, window: tuple[int, int] | None = None) -> list[IntTuple]:
+def restrict_os(series: KupischSeries, k: int) -> list[IntTuple]:
     """Tuples of length k whose Loewy length is within the series bound at their last entry.
 
-    For the finite linear variant this filters ``enumerate_os(n, k)``.  For
-    the cyclic variant the result is the set of canonical orbit
-    representatives (first entry in {0,...,n-1}); the bound is indexed by the
-    last entry mod n.  The bi-infinite variants require an explicit entry
-    window [a, b].
+    For the linear variant this filters ``enumerate_os(n, k)``.  For the
+    cyclic variant the result is the set of canonical orbit representatives
+    (first entry in {0,...,n-1}); the bound is indexed by the last entry mod n.
     """
     series.require_valid()
     if k < 1:
         raise ValueError("k must be positive")
     if series.variant == LINEAR_A:
         return [t for t in enumerate_os(series.size, k) if loewy_len(t) <= series.lengths[t[-1]]]
-    if series.variant == CYCLIC_A:
-        n = series.size
-        out = []
-        for first in range(n):
-            hi = first + series.max_length - 1
-            for rest in itertools.combinations_with_replacement(range(first, hi + 1), k - 1) if k > 1 else [()]:
-                t = (first,) + rest
-                if loewy_len(t) <= series.length_at(t[-1] % n):
-                    out.append(t)
-        return sorted(out)
-    if window is None:
-        raise ValueError(f"variant {series.variant} needs an entry window")
-    a, b = window
-    return [t for t in enumerate_window_os(a, b, k) if loewy_len(t) <= series.length_at(t[-1])]
+    n = series.size
+    out = []
+    for first in range(n):
+        hi = first + series.max_length - 1
+        for rest in itertools.combinations_with_replacement(range(first, hi + 1), k - 1) if k > 1 else [()]:
+            t = (first,) + rest
+            if loewy_len(t) <= series.length_at(t[-1] % n):
+                out.append(t)
+    return sorted(out)
 
 
 def kupisch_hasse_path(series: KupischSeries) -> list[KupischSeries]:

@@ -45,9 +45,6 @@ class Mat:
     def identity(n: int) -> "Mat":
         return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n, n)
 
-    def copy(self) -> "Mat":
-        return Mat([row[:] for row in self.data], self.rows, self.cols)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Mat)

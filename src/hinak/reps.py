@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebras import AlgebraSpec, Arrow, BasisElt, build, factor_into_arrows
-from .combinat import IntTuple, box_interval, canonical_orbit_rep, loewy_len, translate_tuple
+from .algebras import AlgebraSpec, Arrow, BasisAlgebra, BasisElt, build, factor_into_arrows
+from .combinat import IntTuple, box_interval, loewy_len, translate_tuple
 from .linalg import Mat, cokernel_projection, column_space_completion, hstack
 
 
@@ -142,51 +142,18 @@ def interval_module(alg, lam: Sequence[int]) -> MatrixModule:
     return MatrixModule(alg, dims, mats)
 
 
-def projective_module(alg, v) -> MatrixModule:
+def projective_module(alg: BasisAlgebra, v) -> MatrixModule:
     v = alg.require_vertex(v)
-    cache = getattr(alg, "_proj_cache", None)
-    if cache is None:
-        cache = alg._proj_cache = {}
-    if v in cache:
-        return cache[v]
-    basis = {w: alg.hom_basis(w, v) for w in alg.vertices}
-    dims = {w: len(bs) for w, bs in basis.items()}
-    index = {w: {b: i for i, b in enumerate(bs)} for w, bs in basis.items()}
-    mats: dict[BasisElt, Mat] = {}
-    for a in alg.arrows():
-        m = Mat.zeros(dims[a.src], dims[a.dst])
-        for b in basis[a.dst]:
-            comp = alg.compose(a.elt, b)
-            if comp is not None:
-                m.data[index[a.src][comp]][index[a.dst][b]] = Fraction(1)
-        mats[a.elt] = m
-    out = MatrixModule(alg, dims, mats)
-    cache[v] = out
-    return out
+    if v not in alg._proj_cache:
+        alg._proj_cache[v] = ProjSum(alg, (v,)).module
+    return alg._proj_cache[v]
 
 
-def injective_module(alg, v) -> MatrixModule:
+def injective_module(alg: BasisAlgebra, v) -> MatrixModule:
     v = alg.require_vertex(v)
-    cache = getattr(alg, "_inj_cache", None)
-    if cache is None:
-        cache = alg._inj_cache = {}
-    if v in cache:
-        return cache[v]
-    basis = {w: alg.hom_basis(v, w) for w in alg.vertices}
-    dims = {w: len(bs) for w, bs in basis.items()}
-    index = {w: {b: i for i, b in enumerate(bs)} for w, bs in basis.items()}
-    mats: dict[BasisElt, Mat] = {}
-    for a in alg.arrows():
-        # dual of postcomposition with a: entry [b][c] = 1 iff b then a equals c
-        m = Mat.zeros(dims[a.src], dims[a.dst])
-        for b in basis[a.src]:
-            comp = alg.compose(b, a.elt)
-            if comp is not None:
-                m.data[index[a.src][b]][index[a.dst][comp]] = Fraction(1)
-        mats[a.elt] = m
-    out = MatrixModule(alg, dims, mats)
-    cache[v] = out
-    return out
+    if v not in alg._inj_cache:
+        alg._inj_cache[v] = InjSum(alg, (v,)).module
+    return alg._inj_cache[v]
 
 
 # ---------------------------------------------------------------------- sums of projectives / injectives
@@ -230,34 +197,22 @@ class ProjSum:
 
 @dataclass
 class InjSum:
-    """An ordered direct sum of indecomposable injectives."""
+    """An ordered direct sum of indecomposable injectives.
+
+    It is the dual of the projective sum over the opposite algebra; the
+    fiber at w has the dual basis of the morphisms c: u -> w, listed in
+    ``basis_index[w]`` as (summand, c).
+    """
 
     alg: object
     summands: tuple[IntTuple, ...]
 
     def __post_init__(self):
-        alg = self.alg
-        self.basis_index: dict[IntTuple, list[tuple[int, BasisElt]]] = {}
-        for w in alg.vertices:
-            entries = []
-            for s, u in enumerate(self.summands):
-                for b in alg.hom_basis(u, w):
-                    entries.append((s, b))
-            self.basis_index[w] = entries
-        dims = {w: len(es) for w, es in self.basis_index.items()}
-        mats: dict[BasisElt, Mat] = {}
-        for a in alg.arrows():
-            m = Mat.zeros(dims[a.src], dims[a.dst])
-            rows = {key: i for i, key in enumerate(self.basis_index[a.src])}
-            col = 0
-            for s, u in enumerate(self.summands):
-                for b in alg.hom_basis(u, a.dst):
-                    for c in alg.hom_basis(u, a.src):
-                        if alg.compose(c, a.elt) == b:
-                            m.data[rows[(s, c)]][col] = Fraction(1)
-                    col += 1
-            mats[a.elt] = m
-        self.module = MatrixModule(alg, dims, mats)
+        P = ProjSum(self.alg.opposite(), self.summands)
+        self.basis_index = {
+            w: [(s, b.flipped()) for s, b in entries] for w, entries in P.basis_index.items()
+        }
+        self.module = dualize(P.module)
 
 
 # ---------------------------------------------------------------------- module homomorphisms
@@ -374,10 +329,6 @@ def hom_space(M: MatrixModule, N: MatrixModule) -> list[ModuleHom]:
     return out
 
 
-def hom_dim_brute(M: MatrixModule, N: MatrixModule) -> int:
-    return len(hom_space(M, N))
-
-
 def kernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
     alg = h.src.alg
     bases = {v: h.mat(v).kernel_basis() for v in alg.vertices}
@@ -452,11 +403,6 @@ def radical_module(M: MatrixModule) -> tuple[MatrixModule, ModuleHom]:
     return R, incl
 
 
-def top_module(M: MatrixModule) -> tuple[MatrixModule, ModuleHom]:
-    _, incl = radical_module(M)
-    return cokernel_of_hom(incl)
-
-
 def top_dims(M: MatrixModule) -> dict[IntTuple, int]:
     out = {}
     for v in M.alg.vertices:
@@ -475,8 +421,7 @@ def socle_module(M: MatrixModule) -> tuple[MatrixModule, ModuleHom]:
         if not stacked:
             bases[v] = Mat.identity(M.dim(v))
         else:
-            big = Mat.from_rows([row for m in stacked for row in m.data]) if stacked else None
-            bases[v] = big.kernel_basis() if big is not None else Mat.identity(M.dim(v))
+            bases[v] = Mat.from_rows([row for m in stacked for row in m.data]).kernel_basis()
     dims = {v: bases[v].cols for v in alg.vertices}
     # the socle is killed by every arrow, so all induced actions vanish
     S = MatrixModule(alg, dims, {})
@@ -725,7 +670,10 @@ def default_cap(alg) -> int:
 
     env = os.environ.get("HINAK_CAP")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"HINAK_CAP must be an integer, got {env!r}") from None
     return 2 * (alg.d + 1)
 
 
@@ -835,8 +783,7 @@ def dualize(M: MatrixModule) -> MatrixModule:
     dims = dict(M.dims)
     mats: dict[BasisElt, Mat] = {}
     for a in op.arrows():
-        base_elt = BasisElt(a.dst, a.src, -a.shift)
-        mats[a.elt] = M.mat(base_elt).transpose()
+        mats[a.elt] = M.mat(a.elt.flipped()).transpose()
     return MatrixModule(op, dims, mats)
 
 
@@ -854,8 +801,7 @@ def transpose_module(M: MatrixModule) -> MatrixModule:
     dst_op = ProjSum(op, am.src.summands)  # dual of P^1
     entries: dict[tuple[int, int], list[tuple[Fraction, BasisElt]]] = {}
     for (t, s), terms in am.entries.items():
-        flipped = [(coeff, BasisElt(b.dst, b.src, -b.shift)) for coeff, b in terms]
-        entries.setdefault((s, t), []).extend(flipped)
+        entries.setdefault((s, t), []).extend((coeff, b.flipped()) for coeff, b in terms)
     h = alg_mat_to_hom(AlgMat(src_op, dst_op, entries))
     C, _ = cokernel_of_hom(h)
     return C
@@ -864,10 +810,6 @@ def transpose_module(M: MatrixModule) -> MatrixModule:
 def ar_translate(M: MatrixModule) -> MatrixModule:
     """Classical translate: dual of the transpose; zero on projectives."""
     return dualize(transpose_module(M))
-
-
-def ar_translate_inverse(M: MatrixModule) -> MatrixModule:
-    return transpose_module(dualize(M))
 
 
 def tau_d(M: MatrixModule, d: int) -> MatrixModule:
@@ -956,16 +898,19 @@ def modules_isomorphic(M: MatrixModule, N: MatrixModule, combo_limit: int = 4) -
     return None
 
 
+def hom_span_rank(maps: Sequence[ModuleHom]) -> int:
+    """Dimension of the span of homomorphisms, such as those factoring through a cover or envelope."""
+    rows = [v for v in (h.flatten() for h in maps) if any(x != 0 for x in v)]
+    return Mat.from_rows(rows).rank() if rows else 0
+
+
 def stable_hom_dim(M: MatrixModule, N: MatrixModule) -> int:
     """dim Hom(M, N) minus the maps factoring through a projective."""
     homs = hom_space(M, N)
     if not homs:
         return 0
     P, pi = projective_cover(N)
-    through = [g.then(pi).flatten() for g in hom_space(M, P.module)]
-    through = [v for v in through if any(x != 0 for x in v)]
-    rank = Mat.from_rows(through).rank() if through else 0
-    return len(homs) - rank
+    return len(homs) - hom_span_rank([g.then(pi) for g in hom_space(M, P.module)])
 
 
 def costable_hom_dim(M: MatrixModule, N: MatrixModule) -> int:
@@ -974,10 +919,7 @@ def costable_hom_dim(M: MatrixModule, N: MatrixModule) -> int:
     if not homs:
         return 0
     I, iota = injective_envelope(M)
-    through = [iota.then(g).flatten() for g in hom_space(I.module, N)]
-    through = [v for v in through if any(x != 0 for x in v)]
-    rank = Mat.from_rows(through).rank() if through else 0
-    return len(homs) - rank
+    return len(homs) - hom_span_rank([iota.then(g) for g in hom_space(I.module, N)])
 
 
 # ---------------------------------------------------------------------- interval-specific helpers
@@ -1003,13 +945,9 @@ def d_almost_split_summands(alg, lam: Sequence[int]) -> list[IntTuple]:
     lo = translate_tuple(lam, 1)
     out = []
     for t in box_interval(lo, lam):
-        if alg.orbit_modulus is None:
-            if alg.is_summand(t):
-                out.append(t)
-        else:
-            rep, _ = canonical_orbit_rep(t, alg.orbit_modulus)
-            if alg.is_summand(rep):
-                out.append(rep)
+        rep, _ = alg.canonical(t)
+        if alg.is_summand(rep):
+            out.append(rep)
     return sorted(out)
 
 
@@ -1033,7 +971,7 @@ def orbit_ext_dim(
     if not spec.is_orbit:
         raise ValueError("orbit_ext_dim needs an orbit family")
     lam, mu = tuple(lam), tuple(mu)
-    if spec.family != "tube-trunc":
+    if not spec.row.truncated:
         alg = build(spec)
         val = ext_dim(interval_module(alg, lam), interval_module(alg, mu), degree)
         return val, True
@@ -1054,7 +992,7 @@ class StructureConstantError(RuntimeError):
     """Composition of normalized basis homs produced a coefficient outside {0, 1}."""
 
 
-class DerivedAlgebra:
+class DerivedAlgebra(BasisAlgebra):
     """The endomorphism category of a family of interval modules, built from scratch.
 
     Hom spaces are computed by exact linear algebra, normalized so that the
@@ -1065,15 +1003,11 @@ class DerivedAlgebra:
     """
 
     def __init__(self, base_alg, lams: Sequence[IntTuple]):
-        self.base_alg = base_alg
-        self.vertices: tuple[IntTuple, ...] = tuple(sorted(tuple(t) for t in lams))
-        if len(set(self.vertices)) != len(self.vertices):
+        super().__init__(sorted(tuple(t) for t in lams))
+        if len(self._vset) != len(self.vertices):
             raise ValueError("duplicate summand labels")
+        self.base_alg = base_alg
         self.d = len(self.vertices[0])
-        self.orbit_modulus = None
-        self._vset = frozenset(self.vertices)
-        self._factor_cache: dict[BasisElt, list[BasisElt]] = {}
-        self._op: "object | None" = None
         mods = {t: interval_module(base_alg, t) for t in self.vertices}
         self.modules = mods
         self._reps: dict[tuple[IntTuple, IntTuple], ModuleHom] = {}
@@ -1101,31 +1035,12 @@ class DerivedAlgebra:
                 if coeff != 1:
                     raise StructureConstantError(f"structure constant {coeff} at ({a},{b},{c})")
                 self._comp[(a, b, c)] = BasisElt(a, c, 0)
-        self._arrows: tuple[Arrow, ...] | None = None
-        self._arrows_from: dict[IntTuple, tuple[Arrow, ...]] | None = None
-        self._arrows_into: dict[IntTuple, tuple[Arrow, ...]] | None = None
-
-    def is_vertex(self, v) -> bool:
-        return tuple(v) in self._vset
-
-    def require_vertex(self, v) -> IntTuple:
-        t = tuple(v)
-        if t not in self._vset:
-            raise ValueError(f"{t} is not a summand label")
-        return t
 
     def hom_basis(self, v, w) -> tuple[BasisElt, ...]:
         v, w = tuple(v), tuple(w)
         if v == w:
             return (BasisElt(v, v, 0),)
         return (BasisElt(v, w, 0),) if (v, w) in self._reps else ()
-
-    def hom_dim(self, v, w) -> int:
-        return len(self.hom_basis(v, w))
-
-    def identity(self, v) -> BasisElt:
-        v = self.require_vertex(v)
-        return BasisElt(v, v, 0)
 
     def compose(self, f: BasisElt, g: BasisElt) -> BasisElt | None:
         if f.dst != g.src:
@@ -1136,57 +1051,21 @@ class DerivedAlgebra:
             return f
         return self._comp.get((f.src, f.dst, g.dst))
 
-    def arrows(self) -> tuple[Arrow, ...]:
-        if self._arrows is None:
-            found = []
-            for (a, b) in sorted(self._reps):
-                if a == b:
-                    continue
-                factors = any(
-                    (a, u) in self._reps
-                    and (u, b) in self._reps
-                    and self._comp.get((a, u, b)) is not None
-                    for u in self.vertices
-                    if u != a and u != b
-                )
-                if not factors:
-                    found.append(Arrow(a, 0, b, 0))
-            self._arrows = tuple(found)
-        return self._arrows
-
-    def arrows_from(self, v) -> tuple[Arrow, ...]:
-        if self._arrows_from is None:
-            table: dict[IntTuple, list[Arrow]] = {u: [] for u in self.vertices}
-            for a in self.arrows():
-                table[a.src].append(a)
-            self._arrows_from = {u: tuple(r) for u, r in table.items()}
-        return self._arrows_from[tuple(v)]
-
-    def arrows_into(self, v) -> tuple[Arrow, ...]:
-        if self._arrows_into is None:
-            table: dict[IntTuple, list[Arrow]] = {u: [] for u in self.vertices}
-            for a in self.arrows():
-                table[a.dst].append(a)
-            self._arrows_into = {u: tuple(r) for u, r in table.items()}
-        return self._arrows_into[tuple(v)]
-
-    def all_basis(self) -> list[BasisElt]:
-        out = [BasisElt(v, v, 0) for v in self.vertices]
-        out.extend(BasisElt(a, b, 0) for (a, b) in sorted(self._reps) if a != b)
-        return out
-
-    def hom_matrix(self) -> dict[tuple[IntTuple, IntTuple], int]:
-        return {(a, b): self.hom_dim(a, b) for a in self.vertices for b in self.vertices}
-
-    def vertex_label(self, v) -> str:
-        return ",".join(str(x) for x in v)
-
-    def opposite(self):
-        from .algebras import OppositeAlgebra
-
-        if self._op is None:
-            self._op = OppositeAlgebra(self)
-        return self._op
+    def _arrow_list(self) -> tuple[Arrow, ...]:
+        found = []
+        for (a, b) in sorted(self._reps):
+            if a == b:
+                continue
+            factors = any(
+                (a, u) in self._reps
+                and (u, b) in self._reps
+                and self._comp.get((a, u, b)) is not None
+                for u in self.vertices
+                if u != a and u != b
+            )
+            if not factors:
+                found.append(Arrow(a, 0, b, 0))
+        return tuple(found)
 
     def __repr__(self) -> str:
         return f"DerivedAlgebra({len(self.vertices)} summands)"

@@ -16,7 +16,7 @@ from hinak.algebras import (
     minimal_zero_relations,
     presentation_quiver,
 )
-from hinak.combinat import KupischSeries, enumerate_os, interlaces
+from hinak.combinat import KupischSeries, enumerate_os, interlaces, iter_linear_kupisch
 
 
 def brute_os(n, k):
@@ -164,6 +164,30 @@ def test_orbit_shift_scan_is_exhaustive():
                 if alg._ambient_hom(v, tuple(x + k * n for x in w))
             }
             assert found == wide
+
+
+def _interval_scan_hom(alg, v, u):
+    # reference: the bound checked at every last entry t of the interval [v, u]
+    series = alg.spec.series
+    if not interlaces(v, u) or (not alg.spec.is_orbit and u[-1] >= series.size):
+        return False
+    return all(t - v[0] + 1 <= series.length_at(t) for t in range(v[-1], u[-1] + 1))
+
+
+def test_hom_endpoint_bound_equals_interval_scan():
+    # a valid series has l_t <= l_{t-1} + 1, so checking the far end of [v, u] suffices
+    specs = []
+    for d in (1, 2, 3):
+        specs += [AlgebraSpec.kupisch_a(s, d) for n in range(1, 5) for s in iter_linear_kupisch(n)]
+        specs += [AlgebraSpec.atilde_kupisch(s, d) for s in ((2, 3), (3, 3, 2), (4, 3, 2, 3))]
+    for spec in specs:
+        alg = build(spec)
+        top = spec.n + 1 + (spec.series.max_length if spec.is_orbit else 0)
+        for v in alg.vertices:
+            # every tuple v interlaces, with last entry up to top
+            boxes = [range(a, b + 1) for a, b in zip(v, v[1:])] + [range(v[-1], top + 1)]
+            for u in itertools.product(*boxes):
+                assert alg._ambient_hom(v, u) == _interval_scan_hom(alg, v, u), (spec, v, u)
 
 
 def test_orbit_hom_dims_are_finite_and_match_ambient_sum():

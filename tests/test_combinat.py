@@ -108,13 +108,6 @@ def test_restrict_os_full_series_is_everything():
         assert restrict_os(series, k) == enumerate_os(n, k)
 
 
-def test_restrict_os_constant_window():
-    series = KupischSeries.constant_z(3)
-    got = restrict_os(series, 3, window=(0, 4))
-    assert got == [t for t in enumerate_window_os(0, 4, 3) if loewy_len(t) <= 3]
-    assert all(loewy_len(t) <= 3 for t in got)
-
-
 def test_restrict_os_box_closure():
     # every box between the leading and trailing faces of a restricted tuple is restricted
     for lengths in [(1, 2, 2, 3), (1, 2, 3, 3), (1, 2, 2, 2), (1, 2, 3, 4)]:
@@ -218,15 +211,6 @@ def test_as_os_rejects_decreasing():
         as_os((1, 0))
     with pytest.raises(ValueError):
         as_os(())
-
-
-def test_periodic_inf_series():
-    series = KupischSeries.periodic_inf((2, 3, 3))
-    assert validate_kupisch(series) is None
-    assert series.length_at(-1) == series.length_at(2) == 3
-    got = restrict_os(series, 2, window=(0, 5))
-    assert all(loewy_len(t) <= series.length_at(t[-1]) for t in got)
-    assert (0, 2) in got and (0, 3) not in got
 
 
 def test_doctests():

@@ -1,6 +1,7 @@
 import pytest
 
 from hinak.algebras import AlgebraSpec, build
+from hinak.cli import main
 from hinak.combinat import box_interval, loewy_len, translate_tuple
 from hinak.reps import (
     CapExceeded,
@@ -395,6 +396,16 @@ def test_endo_algebra_matches_next_level():
             assert end.hom_dim(a, b) == target.hom_dim(a, b)
 
 
+def test_endo_algebra_has_an_opposite():
+    # duals and translates over a derived algebra need its opposite algebra
+    end = endo_algebra(build(AlgebraSpec.linear_an(3, 1)))
+    target = build(AlgebraSpec.linear_an(3, 2))
+    assert end.opposite().opposite() is end
+    for v in target.vertices:
+        assert tau_d(simple_module(end, v), 2).dims == tau_d(simple_module(target, v), 2).dims
+        assert dualize(projective_module(end, v)).dims == dualize(projective_module(target, v)).dims
+
+
 def test_endo_algebra_supports_homology():
     end = endo_algebra(K1223())
     assert gldim(end, 4) <= 3
@@ -473,13 +484,19 @@ def test_window_growth_kills_projectivity():
         assert not is_injective(M) or lam[-1] == 4
 
 
-def test_default_cap_env_override(monkeypatch):
+def test_default_cap_env_override(monkeypatch, capsys):
     from hinak.reps import default_cap
 
     alg = A42()
     assert default_cap(alg) == 6
     monkeypatch.setenv("HINAK_CAP", "11")
     assert default_cap(alg) == 11
+    monkeypatch.setenv("HINAK_CAP", "abc")
+    with pytest.raises(ValueError, match="HINAK_CAP.*'abc'"):
+        default_cap(alg)
+    code = main(["resolve", "--family", "an", "--n", "4", "--d", "2", "--module", "1,2,3"])
+    assert code == 2
+    assert "HINAK_CAP" in capsys.readouterr().err
 
 
 def test_ext_dimension_shift_consistency():
