@@ -648,8 +648,13 @@ def check_hasse_tower(spec: AlgebraSpec) -> CheckReport:
 # --------------------------------------------------------------------- registry
 
 
+def _embedding(spec: AlgebraSpec) -> tuple[AlgebraSpec, int] | None:
+    """The default ambient algebra of the spec and the top Ext degree compared, if it has one."""
+    return spec.row.embedding(spec) if spec.row.embedding else None
+
+
 def default_embedding_partner(spec: AlgebraSpec) -> AlgebraSpec | None:
-    found = spec.row.embedding and spec.row.embedding(spec)
+    found = _embedding(spec)
     return found[0] if found else None
 
 
@@ -669,8 +674,14 @@ SUITES = {
 
 
 def applicable_suites(spec: AlgebraSpec) -> list[str]:
-    # the mesh presentation of a d-family has slope tuples of length d - 1
-    return [name for name in spec.row.suites if name != "mesh-iso" or spec.d >= 2]
+    # the mesh presentation of a d-family has slope tuples of length d - 1, and
+    # the top of a Hasse path has no ambient algebra to embed into
+    return [
+        name
+        for name in spec.row.suites
+        if (name != "mesh-iso" or spec.d >= 2)
+        and (name != "homological-embedding" or _embedding(spec) is not None)
+    ]
 
 
 DESK_SCALE = {"n": 5, "d": 3, "bound": 4, "trunc": 6}
@@ -702,7 +713,7 @@ def warn_beyond_desk_scale(spec: AlgebraSpec) -> None:
 def run_suite(spec: AlgebraSpec, name: str) -> CheckReport:
     warn_beyond_desk_scale(spec)
     if name == "homological-embedding":
-        found = spec.row.embedding and spec.row.embedding(spec)
+        found = _embedding(spec)
         if not found:
             raise ValueError("no default ambient algebra for this spec")
         return check_homological_embedding(spec, *found)

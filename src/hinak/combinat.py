@@ -236,29 +236,6 @@ def validate_kupisch(series: KupischSeries) -> str | None:
     return series.violation()
 
 
-def restrict_os(series: KupischSeries, k: int) -> list[IntTuple]:
-    """Tuples of length k whose Loewy length is within the series bound at their last entry.
-
-    For the linear variant this filters ``enumerate_os(n, k)``.  For the
-    cyclic variant the result is the set of canonical orbit representatives
-    (first entry in {0,...,n-1}); the bound is indexed by the last entry mod n.
-    """
-    series.require_valid()
-    if k < 1:
-        raise ValueError("k must be positive")
-    if series.variant == LINEAR_A:
-        return [t for t in enumerate_os(series.size, k) if loewy_len(t) <= series.lengths[t[-1]]]
-    n = series.size
-    out = []
-    for first in range(n):
-        hi = first + series.max_length - 1
-        for rest in itertools.combinations_with_replacement(range(first, hi + 1), k - 1) if k > 1 else [()]:
-            t = (first,) + rest
-            if loewy_len(t) <= series.length_at(t[-1] % n):
-                out.append(t)
-    return sorted(out)
-
-
 def kupisch_hasse_path(series: KupischSeries) -> list[KupischSeries]:
     """Chain in the Hasse quiver of linear Kupisch series from series up to (1,2,...,n).
 

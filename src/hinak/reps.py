@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .algebras import AlgebraSpec, Arrow, BasisAlgebra, BasisElt, build, factor_into_arrows
 from .combinat import IntTuple, box_interval, loewy_len, translate_tuple
-from .linalg import Mat, cokernel_projection, column_space_completion, hstack
+from .linalg import ZERO, Mat, cokernel_projection, column_space_completion, hstack
 
 
 class CapExceeded(RuntimeError):
@@ -178,6 +178,8 @@ class ProjSum:
         dims = {w: len(es) for w, es in self.basis_index.items()}
         mats: dict[BasisElt, Mat] = {}
         for a in alg.arrows():
+            if not (dims[a.src] and dims[a.dst]):
+                continue
             m = Mat.zeros(dims[a.src], dims[a.dst])
             rows = {key: i for i, key in enumerate(self.basis_index[a.src])}
             col = 0
@@ -220,6 +222,12 @@ class InjSum:
 
 @dataclass
 class ModuleHom:
+    """A module homomorphism src -> dst: a dst(v) x src(v) matrix at each vertex v.
+
+    ``mats`` holds a block only where both modules are non-zero; a missing
+    vertex means the zero block, which ``mat`` builds on demand.
+    """
+
     src: MatrixModule
     dst: MatrixModule
     mats: dict[IntTuple, Mat]
@@ -232,18 +240,21 @@ class ModuleHom:
         return m
 
     def then(self, nxt: "ModuleHom") -> "ModuleHom":
-        mats = {v: nxt.mat(v) * self.mat(v) for v in self.src.alg.vertices}
+        later = nxt.mats
+        mats = {v: later[v] * m for v, m in self.mats.items() if v in later}
         return ModuleHom(self.src, nxt.dst, mats)
 
     def scale(self, c) -> "ModuleHom":
         return ModuleHom(self.src, self.dst, {v: m.scale(c) for v, m in self.mats.items()})
 
     def add(self, other: "ModuleHom") -> "ModuleHom":
-        mats = {v: self.mat(v) + other.mat(v) for v in self.src.alg.vertices}
+        mats = dict(self.mats)
+        for v, m in other.mats.items():
+            mats[v] = mats[v] + m if v in mats else m
         return ModuleHom(self.src, self.dst, mats)
 
     def is_zero(self) -> bool:
-        return all(self.mat(v).is_zero() for v in self.src.alg.vertices)
+        return all(m.is_zero() for m in self.mats.values())
 
     def is_mono(self) -> bool:
         return all(self.mat(v).rank() == self.src.dim(v) for v in self.src.alg.vertices)
@@ -261,11 +272,16 @@ class ModuleHom:
         return {v: self.mat(v).rank() for v in self.src.alg.vertices if self.src.dim(v)}
 
     def flatten(self) -> list[Fraction]:
+        """The blocks in vertex order, row by row, with the zeros of missing blocks written out."""
         out: list[Fraction] = []
+        src, dst = self.src.dims, self.dst.dims
         for v in self.src.alg.vertices:
-            m = self.mat(v)
-            for row in m.data:
-                out.extend(row)
+            m = self.mats.get(v)
+            if m is None:
+                out.extend([ZERO] * (dst[v] * src[v]))
+            else:
+                for row in m.data:
+                    out.extend(row)
         return out
 
     def naturality_violation(self) -> BasisElt | None:
@@ -277,54 +293,67 @@ class ModuleHom:
         return None
 
 
+def _nonempty(blocks: dict[IntTuple, Mat]) -> dict[IntTuple, Mat]:
+    """The blocks of a hom that have both a row and a column."""
+    return {v: m for v, m in blocks.items() if m.rows and m.cols}
+
+
 def hom_space(M: MatrixModule, N: MatrixModule) -> list[ModuleHom]:
-    """A canonical basis of the space of module homomorphisms M -> N."""
+    """A canonical basis of the space of module homomorphisms M -> N.
+
+    The unknowns are the entries of the blocks at the vertices where both
+    modules are non-zero, in vertex order, and the basis is the rref basis
+    of the solutions of the naturality equations.  Each basis hom holds a
+    block at each of those vertices and nowhere else.
+    """
     alg = M.alg
+    Md, Nd = M.dims, N.dims
     offsets: dict[IntTuple, int] = {}
     total = 0
     for v in alg.vertices:
-        if M.dim(v) and N.dim(v):
+        if Md[v] and Nd[v]:
             offsets[v] = total
-            total += N.dim(v) * M.dim(v)
+            total += Nd[v] * Md[v]
     if total == 0:
         return []
     rows: list[list[Fraction]] = []
     for a in alg.arrows():
         v, w = a.src, a.dst
-        dMv, dMw = M.dim(v), M.dim(w)
-        dNv, dNw = N.dim(v), N.dim(w)
+        dMv, dMw, dNv, dNw = Md[v], Md[w], Nd[v], Nd[w]
         if dNv == 0 or dMw == 0:
             continue
-        Ma, Na = M.mat(a.elt), N.mat(a.elt)
+        Ma, Na = M.mats.get(a.elt), N.mats.get(a.elt)
+        vbase = offsets.get(v) if Ma is not None else None
+        wbase = offsets.get(w) if Na is not None else None
+        if vbase is None and wbase is None:
+            continue
         for i in range(dNv):
             for j in range(dMw):
-                row = [Fraction(0)] * total
-                if v in offsets:
-                    base = offsets[v]
+                row = [ZERO] * total
+                if vbase is not None:
+                    base = vbase + i * dMv
                     for k in range(dMv):
-                        if Ma.data[k][j]:
-                            row[base + i * dMv + k] += Ma.data[k][j]
-                if w in offsets:
-                    base = offsets[w]
+                        x = Ma.data[k][j]
+                        if x:
+                            row[base + k] += x
+                if wbase is not None:
+                    Na_i = Na.data[i]
                     for l in range(dNw):
-                        if Na.data[i][l]:
-                            row[base + l * dMw + j] -= Na.data[i][l]
-                if any(x != 0 for x in row):
+                        if Na_i[l]:
+                            row[wbase + l * dMw + j] -= Na_i[l]
+                if any(row):
                     rows.append(row)
     if rows:
-        kernel = Mat.from_rows(rows).kernel_basis()
+        kernel = Mat(rows, len(rows), total).kernel_basis()
     else:
         kernel = Mat.identity(total)
+    blocks = [(v, base, Nd[v], Md[v]) for v, base in offsets.items()]
     out = []
-    for c in range(kernel.cols):
-        mats = {}
-        for v, base in offsets.items():
-            dMv, dNv = M.dim(v), N.dim(v)
-            m = Mat.zeros(dNv, dMv)
-            for i in range(dNv):
-                for k in range(dMv):
-                    m.data[i][k] = kernel.data[base + i * dMv + k][c]
-            mats[v] = m
+    for col in zip(*kernel.data):
+        mats = {
+            v: Mat([list(col[base + i * dMv : base + (i + 1) * dMv]) for i in range(dNv)], dNv, dMv)
+            for v, base, dNv, dMv in blocks
+        }
         out.append(ModuleHom(M, N, mats))
     return out
 
@@ -344,7 +373,7 @@ def kernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
             raise AssertionError("kernel is not arrow-stable")
         mats[a.elt] = sol
     K = MatrixModule(alg, dims, mats)
-    incl = ModuleHom(K, h.src, {v: bases[v] for v in alg.vertices})
+    incl = ModuleHom(K, h.src, _nonempty(bases))
     return K, incl
 
 
@@ -363,7 +392,7 @@ def cokernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
             raise AssertionError("image is not arrow-stable")
         mats[a.elt] = solT.transpose()
     C = MatrixModule(alg, dims, mats)
-    proj = ModuleHom(h.dst, C, {v: projs[v] for v in alg.vertices})
+    proj = ModuleHom(h.dst, C, _nonempty(projs))
     return C, proj
 
 
@@ -399,7 +428,7 @@ def radical_module(M: MatrixModule) -> tuple[MatrixModule, ModuleHom]:
             raise AssertionError("radical is not arrow-stable")
         mats[a.elt] = sol
     R = MatrixModule(alg, dims, mats)
-    incl = ModuleHom(R, M, {v: bases[v] for v in alg.vertices})
+    incl = ModuleHom(R, M, _nonempty(bases))
     return R, incl
 
 
@@ -425,7 +454,7 @@ def socle_module(M: MatrixModule) -> tuple[MatrixModule, ModuleHom]:
     dims = {v: bases[v].cols for v in alg.vertices}
     # the socle is killed by every arrow, so all induced actions vanish
     S = MatrixModule(alg, dims, {})
-    incl = ModuleHom(S, M, {v: bases[v] for v in alg.vertices})
+    incl = ModuleHom(S, M, _nonempty(bases))
     return S, incl
 
 
@@ -450,27 +479,19 @@ def loewy_length_module(M: MatrixModule) -> int:
 
 def projective_cover(M: MatrixModule) -> tuple[ProjSum, ModuleHom]:
     alg = M.alg
-    gens: list[tuple[IntTuple, Mat]] = []
+    gens: list[tuple[IntTuple, int]] = []  # (vertex, index of the top basis vector there)
     for v in alg.vertices:
         if M.dim(v) == 0:
             continue
         rad = radical_spanning_columns(M, v)
-        for j in column_space_completion(rad):
-            e = Mat.zeros(M.dim(v), 1)
-            e.data[j][0] = Fraction(1)
-            gens.append((v, e))
+        gens.extend((v, j) for j in column_space_completion(rad))
     P = ProjSum(alg, tuple(v for v, _ in gens))
     mats = {}
     for w in alg.vertices:
-        cols = []
-        for s, (u, g) in enumerate(gens):
-            for b in alg.hom_basis(w, u):
-                cols.append((M.act(b) * g).column(0))
-        m = Mat.zeros(M.dim(w), len(cols))
-        for j, colv in enumerate(cols):
-            for i, x in enumerate(colv):
-                m.data[i][j] = x
-        mats[w] = m
+        if not (M.dims[w] and P.module.dims[w]):
+            continue
+        cols = [M.act(b).column(j) for u, j in gens for b in alg.hom_basis(w, u)]
+        mats[w] = Mat([list(row) for row in zip(*cols)], M.dims[w], len(cols))
     h = ModuleHom(P.module, M, mats)
     return P, h
 
@@ -516,6 +537,8 @@ def injective_envelope(M: MatrixModule) -> tuple[InjSum, ModuleHom]:
     mats = {}
     for w in alg.vertices:
         rows_at_w = I.basis_index[w]
+        if not (rows_at_w and M.dims[w]):
+            continue
         m = Mat.zeros(len(rows_at_w), M.dim(w))
         for r, (s, c) in enumerate(rows_at_w):
             v, xi = picks[s]
@@ -565,6 +588,8 @@ def alg_mat_to_hom(am: AlgMat) -> ModuleHom:
     for w in alg.vertices:
         src_cols = am.src.basis_index[w]
         dst_rows = {key: i for i, key in enumerate(am.dst.basis_index[w])}
+        if not (src_cols and dst_rows):
+            continue
         m = Mat.zeros(len(dst_rows), len(src_cols))
         for j, (s, b) in enumerate(src_cols):
             for (t, s2), terms in am.entries.items():
@@ -783,7 +808,9 @@ def dualize(M: MatrixModule) -> MatrixModule:
     dims = dict(M.dims)
     mats: dict[BasisElt, Mat] = {}
     for a in op.arrows():
-        mats[a.elt] = M.mat(a.elt.flipped()).transpose()
+        m = M.mats.get(a.elt.flipped())
+        if m is not None:
+            mats[a.elt] = m.transpose()
     return MatrixModule(op, dims, mats)
 
 
@@ -855,6 +882,8 @@ def nakayama_hom(am: AlgMat) -> ModuleHom:
     for w in alg.vertices:
         cols = src.basis_index[w]
         rows = {key: i for i, key in enumerate(dst.basis_index[w])}
+        if not (cols and rows):
+            continue
         m = Mat.zeros(len(rows), len(cols))
         for j, (s, c) in enumerate(cols):
             for (t, s2), terms in am.entries.items():

@@ -16,7 +16,7 @@ from hinak.algebras import (
     minimal_zero_relations,
     presentation_quiver,
 )
-from hinak.combinat import KupischSeries, enumerate_os, interlaces, iter_linear_kupisch
+from hinak.combinat import KupischSeries, box_interval, enumerate_os, interlaces, iter_linear_kupisch
 
 
 def brute_os(n, k):
@@ -26,6 +26,29 @@ def brute_os(n, k):
 def brute_interlace(x, y):
     k = len(x)
     return all(x[i] <= y[i] for i in range(k)) and all(y[i] <= x[i + 1] for i in range(k - 1))
+
+
+def test_kupisch_a_vertices_example():
+    alg = build(AlgebraSpec.kupisch_a((1, 2, 2, 3), 2))
+    assert set(alg.vertices) == {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)}
+
+
+def test_kupisch_a_full_series_is_everything():
+    for n, d in [(4, 1), (4, 2), (5, 2)]:
+        alg = build(AlgebraSpec.kupisch_a(range(1, n + 1), d))
+        assert list(alg.vertices) == enumerate_os(n, d)
+        assert alg.summands() == enumerate_os(n, d + 1)
+
+
+def test_kupisch_a_box_closure():
+    # every box between the leading and trailing faces of a summand is a vertex
+    for lengths in [(1, 2, 2, 3), (1, 2, 3, 3), (1, 2, 2, 2), (1, 2, 3, 4)]:
+        for d in (1, 2, 3):
+            alg = build(AlgebraSpec.kupisch_a(lengths, d))
+            allowed = set(alg.vertices)
+            for lam in alg.summands():
+                for mu in box_interval(lam[:-1], lam[1:]):
+                    assert mu in allowed
 
 
 def test_build_counts():

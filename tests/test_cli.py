@@ -140,6 +140,19 @@ def test_check_all_suites_small_spec():
     assert out.count("=> PASS") >= 5
 
 
+def test_check_all_at_the_top_of_a_hasse_path():
+    # (1,2,3) has no ambient algebra, so --suite all runs every suite but the embedding
+    args = ("check", "--family", "kupisch-a", "--series", "1,2,3", "--d", "2")
+    code, out, _ = run_cli(*args, "--suite", "all", "--report", "json")
+    assert code == 0
+    assert [r["suite"] for r in json.loads(out)] == [
+        "hom-ext", "proj-inj", "kupisch-lengths", "tau-translate", "cluster-tilting",
+        "resolutions", "gldim", "hasse-tower",
+    ]
+    code, _, err = run_cli(*args, "--suite", "homological-embedding")
+    assert code == 2 and "no default ambient algebra for this spec" in err
+
+
 def test_orbit_bad_tuple_is_usage_error():
     code, _, _ = run_cli("orbit", "--canonicalize", "1,x,3", "--n", "3")
     assert code == 2

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hinak.combinat import (
     KupischSeries,
     as_os,
-    box_interval,
     canonical_orbit_rep,
     count_os,
     enumerate_os,
@@ -20,7 +19,6 @@ from hinak.combinat import (
     mesh_from_coordinates,
     nakayama_permutation,
     nakayama_permutation_inverse,
-    restrict_os,
     translate_tuple,
     validate_kupisch,
 )
@@ -94,29 +92,6 @@ def test_enumerate_os_lex_sorted():
     for n, k in [(4, 2), (3, 3)]:
         ts = enumerate_os(n, k)
         assert ts == sorted(ts)
-
-
-def test_restrict_os_example():
-    series = KupischSeries.linear_a((1, 2, 2, 3))
-    got = set(restrict_os(series, 2))
-    assert got == {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)}
-
-
-def test_restrict_os_full_series_is_everything():
-    for n, k in [(4, 2), (5, 3)]:
-        series = KupischSeries.linear_a(range(1, n + 1))
-        assert restrict_os(series, k) == enumerate_os(n, k)
-
-
-def test_restrict_os_box_closure():
-    # every box between the leading and trailing faces of a restricted tuple is restricted
-    for lengths in [(1, 2, 2, 3), (1, 2, 3, 3), (1, 2, 2, 2), (1, 2, 3, 4)]:
-        series = KupischSeries.linear_a(lengths)
-        for d in (1, 2, 3):
-            allowed = set(restrict_os(series, d))
-            for lam in restrict_os(series, d + 1):
-                for mu in box_interval(lam[:-1], lam[1:]):
-                    assert mu in allowed
 
 
 def test_validate_kupisch():
