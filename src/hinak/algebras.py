@@ -295,9 +295,6 @@ class BasisAlgebra:
         self._inj_cache: dict = {}  # vertex -> indecomposable injective module
         self._op: BasisAlgebra | None = None
 
-    def is_vertex(self, v: Sequence[int]) -> bool:
-        return tuple(v) in self._vset
-
     def require_vertex(self, v: Sequence[int]) -> IntTuple:
         t = as_os(v)
         if len(t) != self.d:

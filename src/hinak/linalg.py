@@ -151,10 +151,6 @@ class Mat:
             return Mat([[] for _ in range(self.cols)], self.cols, 0) if self.cols else Mat([], 0, 0)
         return Mat([list(col) for col in zip(*basis)], self.cols, len(basis))
 
-    def left_kernel_basis(self) -> "Mat":
-        """Rows Y with Y * self = 0 spanning the full left null space."""
-        return self.transpose().kernel_basis().transpose()
-
     def solve(self, rhs: "Mat") -> "Mat | None":
         """A particular solution X of self * X = rhs, or None if inconsistent."""
         if rhs.rows != self.rows:
@@ -195,17 +191,6 @@ def hstack(mats: Sequence[Mat]) -> Mat:
     return Mat(data, rows, sum(m.cols for m in mats))
 
 
-def vstack(mats: Sequence[Mat]) -> Mat:
-    mats = [m for m in mats]
-    if not mats:
-        raise ValueError("nothing to stack")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column mismatch in vstack")
-    data = [row[:] for m in mats for row in m.data]
-    return Mat(data, sum(m.rows for m in mats), cols)
-
-
 def block_diag(mats: Sequence[Mat]) -> Mat:
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
@@ -221,7 +206,7 @@ def block_diag(mats: Sequence[Mat]) -> Mat:
 
 def cokernel_projection(m: Mat) -> Mat:
     """A full-row-rank P with P * m = 0; P presents the cokernel of m."""
-    return m.left_kernel_basis()
+    return m.transpose().kernel_basis().transpose()
 
 
 def column_space_completion(m: Mat) -> list[int]:

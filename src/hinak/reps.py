@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .algebras import AlgebraSpec, Arrow, BasisAlgebra, BasisElt, build, factor_into_arrows
 from .combinat import IntTuple, box_interval, loewy_len, translate_tuple
-from .linalg import ZERO, Mat, cokernel_projection, column_space_completion, hstack
+from .linalg import ZERO, Mat, column_space_completion, hstack
 
 
 class CapExceeded(RuntimeError):
@@ -284,6 +284,11 @@ class ModuleHom:
                     out.extend(row)
         return out
 
+    def dual(self) -> "ModuleHom":
+        """The transpose map D(dst) -> D(src) over the opposite algebra."""
+        mats = {v: m.transpose() for v, m in self.mats.items()}
+        return ModuleHom(dualize(self.dst), dualize(self.src), mats)
+
     def naturality_violation(self) -> BasisElt | None:
         for a in self.src.alg.arrows():
             lhs = self.mat(a.src) * self.src.mat(a.elt)
@@ -358,42 +363,32 @@ def hom_space(M: MatrixModule, N: MatrixModule) -> list[ModuleHom]:
     return out
 
 
-def kernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
-    alg = h.src.alg
-    bases = {v: h.mat(v).kernel_basis() for v in alg.vertices}
+def _submodule(M: MatrixModule, bases: dict[IntTuple, Mat]) -> tuple[MatrixModule, ModuleHom]:
+    """The submodule spanned at each vertex v by the columns of bases[v], and its inclusion."""
+    alg = M.alg
     dims = {v: bases[v].cols for v in alg.vertices}
     mats: dict[BasisElt, Mat] = {}
     for a in alg.arrows():
         v, w = a.src, a.dst
         if dims[v] == 0 and dims[w] == 0:
             continue
-        rhs = h.src.mat(a.elt) * bases[w]
-        sol = bases[v].solve(rhs)
-        if sol is None:  # pragma: no cover - kernels are arrow-stable
-            raise AssertionError("kernel is not arrow-stable")
+        sol = bases[v].solve(M.mat(a.elt) * bases[w])
+        if sol is None:  # pragma: no cover - callers pass arrow-stable subspaces
+            raise AssertionError("subspaces are not arrow-stable")
         mats[a.elt] = sol
-    K = MatrixModule(alg, dims, mats)
-    incl = ModuleHom(K, h.src, _nonempty(bases))
-    return K, incl
+    S = MatrixModule(alg, dims, mats)
+    return S, ModuleHom(S, M, _nonempty(bases))
+
+
+def kernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
+    return _submodule(h.src, {v: h.mat(v).kernel_basis() for v in h.src.alg.vertices})
 
 
 def cokernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
-    alg = h.src.alg
-    projs = {v: cokernel_projection(h.mat(v)) for v in alg.vertices}
-    dims = {v: projs[v].rows for v in alg.vertices}
-    mats: dict[BasisElt, Mat] = {}
-    for a in alg.arrows():
-        v, w = a.src, a.dst
-        if dims[v] == 0 and dims[w] == 0:
-            continue
-        rhs = (projs[v] * h.dst.mat(a.elt)).transpose()
-        solT = projs[w].transpose().solve(rhs)
-        if solT is None:  # pragma: no cover - images are arrow-stable
-            raise AssertionError("image is not arrow-stable")
-        mats[a.elt] = solT.transpose()
-    C = MatrixModule(alg, dims, mats)
-    proj = ModuleHom(h.dst, C, _nonempty(projs))
-    return C, proj
+    """The cokernel D(ker Dh) and the projection onto it, the transpose of the kernel's inclusion."""
+    K, incl = kernel_of_hom(h.dual())
+    C = dualize(K)
+    return C, ModuleHom(h.dst, C, {v: m.transpose() for v, m in incl.mats.items()})
 
 
 # ---------------------------------------------------------------------- radical, top, socle
@@ -415,21 +410,7 @@ def _independent_columns(m: Mat) -> Mat:
 
 
 def radical_module(M: MatrixModule) -> tuple[MatrixModule, ModuleHom]:
-    alg = M.alg
-    bases = {v: _independent_columns(radical_spanning_columns(M, v)) for v in alg.vertices}
-    dims = {v: bases[v].cols for v in alg.vertices}
-    mats: dict[BasisElt, Mat] = {}
-    for a in alg.arrows():
-        v, w = a.src, a.dst
-        if dims[v] == 0 and dims[w] == 0:
-            continue
-        sol = bases[v].solve(M.mat(a.elt) * bases[w])
-        if sol is None:  # pragma: no cover
-            raise AssertionError("radical is not arrow-stable")
-        mats[a.elt] = sol
-    R = MatrixModule(alg, dims, mats)
-    incl = ModuleHom(R, M, _nonempty(bases))
-    return R, incl
+    return _submodule(M, {v: _independent_columns(radical_spanning_columns(M, v)) for v in M.alg.vertices})
 
 
 def top_dims(M: MatrixModule) -> dict[IntTuple, int]:
@@ -607,10 +588,8 @@ def alg_mat_to_hom(am: AlgMat) -> ModuleHom:
 class ProjResolution:
     base: MatrixModule
     terms: list[ProjSum]
-    augmentation: ModuleHom
     diffs: list[AlgMat]  # diffs[j]: terms[j+1] -> terms[j]
-    diff_homs: list[ModuleHom]
-    syzygy_incls: list[ModuleHom]  # syzygy_incls[j]: syzygy j+1 -> terms[j].module
+    syzygies: list[MatrixModule]  # syzygies[j]: syzygy j+1, the kernel of terms[j] -> syzygy j
     complete: bool
 
     @property
@@ -620,52 +599,42 @@ class ProjResolution:
     def syzygy(self, k: int) -> MatrixModule:
         if k == 0:
             return self.base
-        if k <= len(self.syzygy_incls):
-            return self.syzygy_incls[k - 1].src
+        if k <= len(self.syzygies):
+            return self.syzygies[k - 1]
         if self.complete:
             return zero_module(self.base.alg)
         raise CapExceeded(f"resolution cap reached before syzygy {k}")
 
     def term_vertices(self, j: int) -> tuple[IntTuple, ...]:
-        return self.terms[j].summands if j < len(self.terms) else ()
+        return self.terms[j].summands if 0 <= j < len(self.terms) else ()
 
 
 def min_proj_resolution(M: MatrixModule, cap: int) -> ProjResolution:
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if M.is_zero():
-        empty = ProjSum(M.alg, ())
-        return ProjResolution(M, [empty], ModuleHom(empty.module, M, {}), [], [], [], True)
+        return ProjResolution(M, [ProjSum(M.alg, ())], [], [], True)
     terms: list[ProjSum] = []
     diffs: list[AlgMat] = []
-    diff_homs: list[ModuleHom] = []
-    syz_incls: list[ModuleHom] = []
-    augmentation = None
+    syzygies: list[MatrixModule] = []
     K = M
-    incl_prev: ModuleHom | None = None
+    incl: ModuleHom | None = None  # syzygy j -> terms[j-1].module
     for step in range(cap + 1):
         P, h = projective_cover(K)
         terms.append(P)
-        if incl_prev is None:
-            augmentation = h
-        else:
-            dh = h.then(incl_prev)
-            diff_homs.append(dh)
-            diffs.append(hom_to_alg_mat(dh, P, terms[-2]))
-        K_next, incl = kernel_of_hom(h)
-        syz_incls.append(incl)
-        if K_next.is_zero():
-            return ProjResolution(M, terms, augmentation, diffs, diff_homs, syz_incls, True)
-        K = K_next
-        incl_prev = incl
-    return ProjResolution(M, terms, augmentation, diffs, diff_homs, syz_incls, False)
+        if incl is not None:
+            diffs.append(hom_to_alg_mat(h.then(incl), P, terms[-2]))
+        K, incl = kernel_of_hom(h)
+        syzygies.append(K)
+        if K.is_zero():
+            return ProjResolution(M, terms, diffs, syzygies, True)
+    return ProjResolution(M, terms, diffs, syzygies, False)
 
 
 @dataclass
 class InjCoresolution:
     base: MatrixModule
     terms: list[InjSum]
-    cosyzygies: list[MatrixModule]
     complete: bool
 
     @property
@@ -675,19 +644,16 @@ class InjCoresolution:
 
 def min_inj_coresolution(M: MatrixModule, cap: int) -> InjCoresolution:
     if M.is_zero():
-        return InjCoresolution(M, [InjSum(M.alg, ())], [], True)
+        return InjCoresolution(M, [InjSum(M.alg, ())], True)
     terms: list[InjSum] = []
-    cosyz: list[MatrixModule] = []
     X = M
     for step in range(cap + 1):
         I, h = injective_envelope(X)
         terms.append(I)
-        C, _ = cokernel_of_hom(h)
-        cosyz.append(C)
-        if C.is_zero():
-            return InjCoresolution(M, terms, cosyz, True)
-        X = C
-    return InjCoresolution(M, terms, cosyz, False)
+        X, _ = cokernel_of_hom(h)
+        if X.is_zero():
+            return InjCoresolution(M, terms, True)
+    return InjCoresolution(M, terms, False)
 
 
 def default_cap(alg) -> int:
@@ -721,27 +687,17 @@ def ext_dim_from_resolution(res: ProjResolution, N: MatrixModule, degree: int) -
     if not res.complete and len(res.terms) < degree + 2:
         raise CapExceeded(f"resolution too short for Ext^{degree}")
 
-    def hom_complex_dim(j: int) -> int:
-        return sum(N.dim(u) for u in res.term_vertices(j))
+    def offsets(j: int) -> list[int]:
+        # where each summand of P^j starts in Hom(P^j, N)
+        return list(itertools.accumulate((N.dim(u) for u in res.term_vertices(j)), initial=0))
 
     def delta(j: int) -> Mat:
         # induced map Hom(P^j, N) -> Hom(P^{j+1}, N)
-        rows_dim = hom_complex_dim(j + 1)
-        cols_dim = hom_complex_dim(j)
-        m = Mat.zeros(rows_dim, cols_dim)
-        if j + 1 >= len(res.terms) or j >= len(res.terms):
+        src_off, dst_off = offsets(j + 1), offsets(j)
+        m = Mat.zeros(src_off[-1], dst_off[-1])
+        if not 0 <= j < len(res.diffs):
             return m
         am = res.diffs[j]
-        src_off = []
-        acc = 0
-        for u in res.term_vertices(j + 1):
-            src_off.append(acc)
-            acc += N.dim(u)
-        dst_off = []
-        acc = 0
-        for u in res.term_vertices(j):
-            dst_off.append(acc)
-            acc += N.dim(u)
         for (t, s), terms in am.entries.items():
             # am: P^{j+1} -> P^j, summand s of P^{j+1} hits summand t of P^j
             for coeff, b in terms:
@@ -814,23 +770,21 @@ def dualize(M: MatrixModule) -> MatrixModule:
     return MatrixModule(op, dims, mats)
 
 
+def _transpose_alg_mat(am: AlgMat) -> AlgMat:
+    """Hom(-, A) of a map between sums of projectives: the flipped matrix over the opposite algebra."""
+    op = am.src.alg.opposite()
+    entries = {(s, t): [(coeff, b.flipped()) for coeff, b in terms] for (t, s), terms in am.entries.items()}
+    return AlgMat(ProjSum(op, am.dst.summands), ProjSum(op, am.src.summands), entries)
+
+
 def transpose_module(M: MatrixModule) -> MatrixModule:
     """Auslander-Bridger transpose, a module over the opposite algebra."""
-    alg = M.alg
-    op = alg.opposite()
     if M.is_zero():
-        return zero_module(op)
+        return zero_module(M.alg.opposite())
     res = min_proj_resolution(M, 1)
     if len(res.terms) == 1:
-        return zero_module(op)
-    am = res.diffs[0]  # P^1 -> P^0
-    src_op = ProjSum(op, am.dst.summands)  # dual of P^0
-    dst_op = ProjSum(op, am.src.summands)  # dual of P^1
-    entries: dict[tuple[int, int], list[tuple[Fraction, BasisElt]]] = {}
-    for (t, s), terms in am.entries.items():
-        entries.setdefault((s, t), []).extend((coeff, b.flipped()) for coeff, b in terms)
-    h = alg_mat_to_hom(AlgMat(src_op, dst_op, entries))
-    C, _ = cokernel_of_hom(h)
+        return zero_module(M.alg.opposite())
+    C, _ = cokernel_of_hom(alg_mat_to_hom(_transpose_alg_mat(res.diffs[0])))  # coker Hom(d_1, A)
     return C
 
 
@@ -874,33 +828,17 @@ def nakayama_functor(alg, M: MatrixModule) -> MatrixModule:
 
 
 def nakayama_hom(am: AlgMat) -> ModuleHom:
-    """Image of a map between sums of projectives under the Nakayama functor."""
-    alg = am.src.alg
-    src = InjSum(alg, am.src.summands)
-    dst = InjSum(alg, am.dst.summands)
-    mats = {}
-    for w in alg.vertices:
-        cols = src.basis_index[w]
-        rows = {key: i for i, key in enumerate(dst.basis_index[w])}
-        if not (cols and rows):
-            continue
-        m = Mat.zeros(len(rows), len(cols))
-        for j, (s, c) in enumerate(cols):
-            for (t, s2), terms in am.entries.items():
-                if s2 != s:
-                    continue
-                for coeff, b in terms:
-                    for f in alg.hom_basis(am.dst.summands[t], w):
-                        if alg.compose(b, f) == c:
-                            m.data[rows[(t, f)]][j] += coeff
-        mats[w] = m
-    return ModuleHom(src.module, dst.module, mats)
+    """Image of a map between sums of projectives under the Nakayama functor D Hom(-, A)."""
+    return alg_mat_to_hom(_transpose_alg_mat(am)).dual()
 
 
 # ---------------------------------------------------------------------- iso testing and stable Hom
 
 
-def modules_isomorphic(M: MatrixModule, N: MatrixModule, combo_limit: int = 4) -> bool | None:
+_COMBO_LIMIT = 4  # largest Hom basis whose small integer combinations are scanned
+
+
+def modules_isomorphic(M: MatrixModule, N: MatrixModule) -> bool | None:
     """True / False on a definite answer; None when undetermined.
 
     Dimension vectors decide the negative direction.  The positive search
@@ -914,7 +852,7 @@ def modules_isomorphic(M: MatrixModule, N: MatrixModule, combo_limit: int = 4) -
     for h in homs:
         if h.is_iso():
             return True
-    if 2 <= len(homs) <= combo_limit:
+    if 2 <= len(homs) <= _COMBO_LIMIT:
         for coeffs in itertools.product(range(-2, 3), repeat=len(homs)):
             if all(c == 0 for c in coeffs):
                 continue
@@ -943,12 +881,8 @@ def stable_hom_dim(M: MatrixModule, N: MatrixModule) -> int:
 
 
 def costable_hom_dim(M: MatrixModule, N: MatrixModule) -> int:
-    """dim Hom(M, N) minus the maps factoring through an injective."""
-    homs = hom_space(M, N)
-    if not homs:
-        return 0
-    I, iota = injective_envelope(M)
-    return len(homs) - hom_span_rank([iota.then(g) for g in hom_space(I.module, N)])
+    """dim Hom(M, N) minus the maps factoring through an injective: the stable Hom of the duals."""
+    return stable_hom_dim(dualize(N), dualize(M))
 
 
 # ---------------------------------------------------------------------- interval-specific helpers

@@ -5,12 +5,14 @@ from hinak.cli import main
 from hinak.combinat import box_interval, loewy_len, translate_tuple
 from hinak.reps import (
     CapExceeded,
+    alg_mat_to_hom,
     d_almost_split_summands,
     direct_sum_modules,
     domdim,
     dualize,
     endo_algebra,
     ext_dim,
+    ext_dim_from_resolution,
     gldim,
     hom_space,
     image_interval,
@@ -201,12 +203,30 @@ def test_ext_cap_exceeded_reported():
         ext_dim(S, S, 9, cap=3)
 
 
+def test_ext_degree_zero_from_resolution_is_hom():
+    alg = A42()
+    mods = [interval_module(alg, lam) for lam in alg.summands()[::2]]
+    assert any(is_projective(M) for M in mods) and not all(is_projective(M) for M in mods)
+    for M in mods:
+        res = min_proj_resolution(M, 3)
+        for N in mods:
+            assert ext_dim_from_resolution(res, N, 0) == len(hom_space(M, N))
+
+
 def test_resolution_differentials_compose_to_zero():
     alg = K1223()
     res = min_proj_resolution(interval_module(alg, (2, 3, 3)), 4)
-    for d1, d2 in zip(res.diff_homs, res.diff_homs[1:]):
+    diffs = [alg_mat_to_hom(am) for am in res.diffs]  # back from the AlgMat form
+    assert len(diffs) >= 2
+    for dh in diffs:
+        assert dh.naturality_violation() is None
+    for d1, d2 in zip(diffs, diffs[1:]):
         assert d2.then(d1).is_zero()
-    assert res.augmentation.is_epi()
+    P, pi = projective_cover(res.base)
+    assert pi.is_epi() and P.summands == res.diffs[0].dst.summands
+    assert diffs[0].then(pi).is_zero()
+    # exact at P^0: the image of the first differential is all of the kernel of the cover
+    assert sum(diffs[0].image_dims().values()) == P.module.total_dim - res.base.total_dim
 
 
 # ------------------------------------------------------------------ duality, translates

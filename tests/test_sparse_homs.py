@@ -107,7 +107,7 @@ def test_sparse_homs_equal_dense_on_intervals_covers_and_envelopes(spec):
             check_homs(check_composites([iota], out_of_i))
 
 
-def _random_invertible(rng, k):
+def random_invertible(rng, k):
     while True:
         m = Mat([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)] for _ in range(k)])
         inv = m.inverse()
@@ -115,9 +115,9 @@ def _random_invertible(rng, k):
             return m, inv
 
 
-def _conjugate(rng, M):
+def conjugate(rng, M):
     """M under a dense rational change of basis at every non-zero vertex."""
-    g = {v: _random_invertible(rng, k) for v, k in M.dims.items() if k}
+    g = {v: random_invertible(rng, k) for v, k in M.dims.items() if k}
     mats = {e: g[e.src][1] * m * g[e.dst][0] for e, m in M.mats.items() if m.rows and m.cols}
     return MatrixModule(M.alg, M.dims, mats)
 
@@ -128,7 +128,7 @@ def test_sparse_homs_equal_dense_under_rational_base_change():
     sums = []
     for lams in [[(0, 1, 2), (0, 1, 2)], [(0, 1, 2), (1, 2, 3), (0, 1, 3)], rng.sample(alg.summands(), 3)]:
         S = direct_sum_modules([interval_module(alg, lam) for lam in lams])
-        C = _conjugate(rng, S)
+        C = conjugate(rng, S)
         C.validate()
         sums.append((S, C))
     for S, C in sums:

@@ -1,0 +1,151 @@
+"""Kernels, cokernels and radicals by their universal properties.
+
+``cokernel_of_hom`` and ``nakayama_hom`` are built as duals of the
+projective-side constructions.  The direct versions they replaced are kept
+below as the reference, and the two must agree entry for entry.
+"""
+
+import random
+
+import pytest
+
+from hinak.algebras import AlgebraSpec, build
+from hinak.linalg import Mat, cokernel_projection
+from hinak.reps import (
+    InjSum,
+    MatrixModule,
+    ModuleHom,
+    alg_mat_to_hom,
+    cokernel_of_hom,
+    direct_sum_modules,
+    endo_algebra,
+    hom_space,
+    injective_envelope,
+    injective_module,
+    interval_module,
+    kernel_of_hom,
+    min_proj_resolution,
+    nakayama_hom,
+    projective_cover,
+    projective_module,
+    radical_module,
+    simple_module,
+    top_dims,
+)
+from test_sparse_homs import conjugate, same_hom
+
+
+def direct_cokernel(h):
+    alg = h.src.alg
+    projs = {v: cokernel_projection(h.mat(v)) for v in alg.vertices}
+    dims = {v: projs[v].rows for v in alg.vertices}
+    mats = {}
+    for a in alg.arrows():
+        v, w = a.src, a.dst
+        if dims[v] == 0 and dims[w] == 0:
+            continue
+        rhs = (projs[v] * h.dst.mat(a.elt)).transpose()
+        mats[a.elt] = projs[w].transpose().solve(rhs).transpose()
+    C = MatrixModule(alg, dims, mats)
+    return C, ModuleHom(h.dst, C, projs)
+
+
+def direct_nakayama_hom(am):
+    alg = am.src.alg
+    src = InjSum(alg, am.src.summands)
+    dst = InjSum(alg, am.dst.summands)
+    mats = {}
+    for w in alg.vertices:
+        cols = src.basis_index[w]
+        rows = {key: i for i, key in enumerate(dst.basis_index[w])}
+        m = Mat.zeros(len(rows), len(cols))
+        for j, (s, c) in enumerate(cols):
+            for (t, s2), terms in am.entries.items():
+                if s2 != s:
+                    continue
+                for coeff, b in terms:
+                    for f in alg.hom_basis(am.dst.summands[t], w):
+                        if alg.compose(b, f) == c:
+                            m.data[rows[(t, f)]][j] += coeff
+        mats[w] = m
+    return ModuleHom(src.module, dst.module, mats)
+
+
+def same_module(M, N):
+    return M.alg is N.alg and M.dims == N.dims and all(M.mat(a.elt) == N.mat(a.elt) for a in M.alg.arrows())
+
+
+def check_kernel(h):
+    K, incl = kernel_of_hom(h)
+    K.validate()
+    assert incl.naturality_violation() is None
+    assert incl.is_mono() and incl.then(h).is_zero()
+    assert K.dims == {v: h.src.dim(v) - h.mat(v).rank() for v in h.src.alg.vertices}
+
+
+def check_cokernel(h):
+    C, p = cokernel_of_hom(h)
+    C.validate()
+    assert C.alg is h.src.alg and p.src is h.dst and p.dst is C
+    assert p.naturality_violation() is None
+    assert p.is_epi() and h.then(p).is_zero()
+    assert C.dims == {v: h.dst.dim(v) - h.mat(v).rank() for v in h.src.alg.vertices}
+    C_ref, p_ref = direct_cokernel(h)
+    assert same_module(C, C_ref) and same_hom(p, p_ref)
+
+
+def check_radical(M):
+    R, incl = radical_module(M)
+    R.validate()
+    assert incl.naturality_violation() is None and incl.is_mono()
+    top = top_dims(M)
+    assert R.dims == {v: M.dim(v) - top.get(v, 0) for v in M.alg.vertices}
+
+
+def check_module(M, others):
+    """Every check on M, its cover and envelope, and the homs between M and the others."""
+    check_radical(M)
+    homs = [projective_cover(M)[1], injective_envelope(M)[1]]
+    for X in others:
+        there, back = hom_space(M, X), hom_space(X, M)
+        homs += there + back
+        if len(there) > 1:
+            homs.append(there[0].add(there[-1].scale(-3)))
+    for h in homs:
+        check_kernel(h)
+        check_cokernel(h)
+    return homs
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec.linear_an(4, 2), AlgebraSpec.tube_trunc(3, 2, 5)],
+                         ids=lambda s: s.describe())
+def test_subquotients_of_conjugated_direct_sums(spec):
+    rng = random.Random(11)
+    alg = build(spec)
+    lams = rng.sample(alg.summands(), 5)
+    S = conjugate(rng, direct_sum_modules([interval_module(alg, lam) for lam in lams[:2]]))
+    T = conjugate(rng, direct_sum_modules([interval_module(alg, lam) for lam in lams[2:]]))
+    S.validate()
+    T.validate()
+    homs = check_module(S, [T, interval_module(alg, lams[0])])
+    assert any(x.denominator != 1 for h in homs for x in h.flatten())
+    assert any(not cokernel_of_hom(h)[0].is_zero() and not kernel_of_hom(h)[0].is_zero() for h in homs)
+    for X in (S, T):
+        res = min_proj_resolution(X, 2)
+        assert res.diffs
+        for am in res.diffs:
+            assert alg_mat_to_hom(am).naturality_violation() is None
+            assert same_hom(nakayama_hom(am), direct_nakayama_hom(am))
+
+
+def test_subquotients_over_an_endomorphism_algebra():
+    E = endo_algebra(build(AlgebraSpec.linear_an(3, 2)))
+    assert E.opposite().opposite() is E
+    mods = [projective_module(E, v) for v in E.vertices[:4]] + [injective_module(E, E.vertices[-1])]
+    mods += [simple_module(E, E.vertices[2]), direct_sum_modules(mods[:3])]
+    for M in mods:
+        check_module(M, mods)
+    res = min_proj_resolution(direct_sum_modules(mods[4:6]), 2)
+    assert res.diffs
+    for am in res.diffs:
+        assert same_hom(nakayama_hom(am), direct_nakayama_hom(am))
