@@ -544,7 +544,7 @@ def check_orbit_periodicity(spec: AlgebraSpec, exponent: int | None = None) -> C
 def check_mesh_iso(d: int, bound: int | None, window: tuple[int, int]) -> CheckReport:
     """The slope-coordinate presentation defines the same algebra as the standard one."""
     mesh = mesh_presentation(d, bound, window)
-    std = build(mesh.standard_spec())
+    std = build(mesh.standard_spec)
     desc = {"mesh_d": d, "bound": bound, "window": list(window)}
     report = CheckReport("mesh-iso", desc)
 
@@ -590,22 +590,18 @@ def check_mesh_iso(d: int, bound: int | None, window: tuple[int, int]) -> CheckR
         # one full rotation of a (d+1)-tuple shifts every entry by bound - 1
         span = (d + 1) * ((b - a) // (bound - 1) + 3)
         for lam in std.vertices:
-            hits = []
-            for i in range(-span, span + 1):
+            # the orbit up to span steps each way; a step that leaves the window ends its walk
+            orbit = [lam]
+            for step in (nakayama_permutation, nakayama_permutation_inverse):
                 mu = lam
-                steps = abs(i)
-                try:
-                    for _ in range(steps):
-                        mu = (
-                            nakayama_permutation(mu, bound)
-                            if i < 0
-                            else nakayama_permutation_inverse(mu, bound)
-                        )
-                except ValueError:
-                    continue
-                if 0 <= mu[0] and mu[-1] <= bound - 2:
-                    hits.append((i, mu))
-            serre.record(len(hits) == 1, lam=lam, hits=len(hits))
+                for _ in range(span):
+                    try:
+                        mu = step(mu, bound)
+                    except ValueError:
+                        break
+                    orbit.append(mu)
+            hits = sum(1 for mu in orbit if 0 <= mu[0] and mu[-1] <= bound - 2)
+            serre.record(hits == 1, lam=lam, hits=hits)
         report.items.append(serre.item())
     return report
 

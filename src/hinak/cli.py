@@ -69,6 +69,14 @@ def _need(args, name: str):
     return getattr(args, name)
 
 
+def _summand(alg, t: tuple[int, ...]) -> tuple[int, ...]:
+    """t, checked to index a summand; orbit families accept any tuple in its orbit."""
+    t = as_os(t)
+    if not alg.is_summand(alg.canonical(t)[0]):
+        raise UsageError(f"{','.join(map(str, t))} does not index a summand")
+    return t
+
+
 def _identify_interval(alg, M) -> str:
     if M.is_zero():
         return "0"
@@ -106,7 +114,7 @@ def cmd_ct_module(args) -> int:
 def cmd_resolve(args) -> int:
     alg = build(_spec_from_args(args))
     cap = args.cap if args.cap is not None else default_cap(alg)
-    res = min_proj_resolution(interval_module(alg, as_os(args.module)), cap)
+    res = min_proj_resolution(interval_module(alg, _summand(alg, args.module)), cap)
     for j, term in enumerate(res.terms):
         names = ";".join(",".join(map(str, u)) for u in term.summands) or "0"
         sys.stdout.write(f"P^-{j}\t{names}\n")
@@ -118,7 +126,8 @@ def cmd_resolve(args) -> int:
 
 def cmd_ext(args) -> int:
     spec = _spec_from_args(args)
-    lam, mu = as_os(args.src), as_os(args.dst)
+    alg = build(spec)
+    lam, mu = _summand(alg, args.src), _summand(alg, args.dst)
     if spec.row.truncated:
         val, stable = orbit_ext_dim(spec, lam, mu, args.degree)
         sys.stdout.write(f"{val}\n")
@@ -126,7 +135,6 @@ def cmd_ext(args) -> int:
             sys.stderr.write("extension dimension did not stabilize across truncations\n")
             return CAP_ERROR
         return 0
-    alg = build(spec)
     val = ext_dim(interval_module(alg, lam), interval_module(alg, mu), args.degree)
     sys.stdout.write(f"{val}\n")
     return 0
@@ -134,7 +142,7 @@ def cmd_ext(args) -> int:
 
 def cmd_hom(args) -> int:
     alg = build(_spec_from_args(args))
-    lam, mu = as_os(args.src), as_os(args.dst)
+    lam, mu = _summand(alg, args.src), _summand(alg, args.dst)
     val = len(hom_space(interval_module(alg, lam), interval_module(alg, mu)))
     sys.stdout.write(f"{val}\n")
     return 0
@@ -142,7 +150,7 @@ def cmd_hom(args) -> int:
 
 def cmd_tau(args) -> int:
     alg = build(_spec_from_args(args))
-    M = interval_module(alg, as_os(args.module))
+    M = interval_module(alg, _summand(alg, args.module))
     power = args.power
     step = tau_d if power >= 0 else tau_d_inverse
     for _ in range(abs(power)):

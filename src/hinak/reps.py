@@ -922,13 +922,13 @@ def orbit_hom_dim(alg, lam: Sequence[int], mu: Sequence[int]) -> int:
 
 
 def orbit_ext_dim(
-    spec: AlgebraSpec, lam: Sequence[int], mu: Sequence[int], degree: int, trunc: int | None = None
+    spec: AlgebraSpec, lam: Sequence[int], mu: Sequence[int], degree: int
 ) -> tuple[int, bool]:
     """Ext between pushed-down intervals; tube truncations are re-checked one level up.
 
     Returns (dimension, stabilized).  For the finite orbit families the
     computation is direct and always flagged stable.  For truncated tubes the
-    value is recomputed at truncation trunc + d + 1 and flagged accordingly.
+    value is recomputed at truncation level + d + 1 and flagged accordingly.
     """
     spec.validate()
     if not spec.is_orbit:
@@ -938,11 +938,10 @@ def orbit_ext_dim(
         alg = build(spec)
         val = ext_dim(interval_module(alg, lam), interval_module(alg, mu), degree)
         return val, True
-    base_trunc = trunc if trunc is not None else spec.bound
-    if max(loewy_len(lam), loewy_len(mu)) > base_trunc:
+    if max(loewy_len(lam), loewy_len(mu)) > spec.bound:
         raise ValueError("modules exceed the truncation level")
     vals = []
-    for level in (base_trunc, base_trunc + spec.d + 1):
+    for level in (spec.bound, spec.bound + spec.d + 1):
         alg = build(AlgebraSpec.tube_trunc(spec.n, spec.d, level))
         vals.append(ext_dim(interval_module(alg, lam), interval_module(alg, mu), degree))
     return vals[0], vals[0] == vals[1]

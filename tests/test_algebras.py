@@ -6,7 +6,6 @@ import pytest
 from hinak.algebras import (
     AlgebraSpec,
     build,
-    commutation_relations,
     export_dot,
     export_json,
     export_qpa,
@@ -15,6 +14,7 @@ from hinak.algebras import (
     mesh_presentation,
     minimal_zero_relations,
     presentation_quiver,
+    relations,
 )
 from hinak.combinat import KupischSeries, box_interval, enumerate_os, interlaces, iter_linear_kupisch
 
@@ -286,6 +286,9 @@ def test_relations_present_the_algebra():
         AlgebraSpec.kupisch_a((1, 2, 2, 3), 2),
         AlgebraSpec.kupisch_a((1, 2, 3, 3), 1),
         AlgebraSpec.selfinj_atilde(2, 3, 2),
+        AlgebraSpec.tube_trunc(2, 2, 4),
+        AlgebraSpec.window_spec(0, 3, 2),
+        AlgebraSpec.zl_window(3, 0, 4, 2),
     ]
     for spec in specs:
         alg = build(spec)
@@ -308,12 +311,12 @@ def test_zero_relations_exist_for_d1_quotient():
 
 def test_commutation_relations_shape():
     alg = build(AlgebraSpec.linear_an(3, 2))
-    recs = commutation_relations(alg)
-    assert all(1 <= len(r["routes"]) <= 2 for r in recs)
-    two_route = [r for r in recs if len(r["routes"]) == 2]
+    rels = relations(alg)
+    assert all(1 <= len(r) <= 2 for r in rels)
+    two_route = [r for r in rels if len(r) == 2]
     assert two_route, "commutativity squares must exist"
     for r in two_route:
-        ends = {route[1].dst for route in r["routes"]}
+        ends = {route[-1].dst for route in r}
         assert len(ends) == 1
 
 

@@ -116,6 +116,21 @@ def test_usage_errors():
     assert code == 2
     code, _, _ = run_cli("quiver", "--family", "an", "--n", "4", "--d", "2", "--bogus")
     assert code == 2
+    an42 = ("--family", "an", "--n", "4", "--d", "2")
+    for argv in (
+        ("resolve", *an42, "--module", "0,2,9"),
+        ("hom", *an42, "--from", "0,2,9", "--to", "0,1,2"),
+        ("hom", *an42, "--from", "0,1,2", "--to", "0,2,9"),
+        ("ext", *an42, "--from", "0,2,9", "--to", "0,1,2", "--degree", "1"),
+        ("tau", *an42, "--module", "0,2,9"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "") and "0,2,9 does not index a summand" in err, argv
+    # orbit families take any tuple of a summand's orbit
+    code, out, _ = run_cli(
+        "tau", "--family", "tube-trunc", "--n", "2", "--d", "2", "--trunc", "4", "--module", "5,6,7"
+    )
+    assert code == 0 and out == "0,1,2\n"
 
 
 def test_byte_identical_output():
