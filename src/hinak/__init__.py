@@ -8,20 +8,17 @@ from .algebras import (
     export_dot,
     export_json,
     export_qpa,
-    import_json,
     mesh_presentation,
 )
 from .combinat import (
     KupischSeries,
     canonical_orbit_rep,
-    enumerate_os,
     interlaces,
     kupisch_hasse_path,
     loewy_len,
     mesh_coordinates,
     nakayama_permutation,
     translate_tuple,
-    validate_kupisch,
 )
 from .checks import (
     CheckReport,
@@ -43,14 +40,12 @@ from .checks import (
 from .linalg import Mat
 from .reps import (
     MatrixModule,
-    d_almost_split_summands,
     domdim,
     dualize,
     endo_algebra,
     ext_dim,
     gldim,
     hom_space,
-    image_interval,
     injective_envelope,
     injective_module,
     interval_module,
@@ -58,14 +53,11 @@ from .reps import (
     min_inj_coresolution,
     min_proj_resolution,
     modules_isomorphic,
-    nakayama_functor,
     orbit_ext_dim,
-    orbit_hom_dim,
     projective_cover,
     projective_module,
     simple_module,
     socle_module,
-    stable_hom_dim,
     syzygy_module,
     tau_d,
     tau_d_inverse,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .combinat import (
@@ -46,6 +46,10 @@ from .combinat import (
     translate_tuple,
 )
 from .linalg import Mat, cokernel_projection, hstack
+
+
+class CapExceeded(RuntimeError):
+    """A resolution, dimension or graded-degree computation exceeded its cap."""
 
 
 class BasisElt(NamedTuple):
@@ -91,7 +95,8 @@ class Family:
     representative.  ``cli_flags`` are the CLI destinations the family
     requires, in the order ``from_flags(d, *values)`` takes them.
     ``embedding(spec)`` gives the default ambient algebra of the
-    homological-embedding suite and the top Ext degree it compares.
+    homological-embedding suite and the top Ext degree it compares, or
+    None where the spec has none.
     """
 
     name: str
@@ -103,7 +108,7 @@ class Family:
     orbit: bool
     suites: tuple[str, ...]
     has_global_dimension_d: bool = False
-    embedding: Callable[["AlgebraSpec"], "tuple[AlgebraSpec, int] | None"] | None = None
+    embedding: Callable[["AlgebraSpec"], "tuple[AlgebraSpec, int] | None"] = lambda spec: None
 
     @property
     def series_variant(self) -> str:
@@ -254,19 +259,6 @@ class AlgebraSpec:
             out["window"] = list(self.window)
         return out
 
-    @staticmethod
-    def from_describe(obj: dict) -> "AlgebraSpec":
-        spec = AlgebraSpec(
-            obj["family"],
-            obj["d"],
-            n=obj.get("n"),
-            bound=obj.get("bound"),
-            window=tuple(obj["window"]) if "window" in obj else None,
-        )
-        if "series" in obj:
-            spec = replace(spec, series=KupischSeries(spec.row.series_variant, tuple(obj["series"])))
-        return spec
-
     def __str__(self) -> str:
         return json.dumps(self.describe(), sort_keys=True)
 
@@ -327,9 +319,6 @@ class BasisAlgebra:
 
     def all_basis(self) -> list[BasisElt]:
         return [b for v in self.vertices for w in self.vertices for b in self.hom_basis(v, w)]
-
-    def algebra_dimension(self) -> int:
-        return len(self.all_basis())
 
     def arrows(self) -> tuple[Arrow, ...]:
         if self._arrows is None:
@@ -545,9 +534,6 @@ class OppositeAlgebra(BasisAlgebra):
         res = self.base.compose(g.flipped(), f.flipped())
         return None if res is None else res.flipped()
 
-    def path_length(self, b: BasisElt) -> int:
-        return self.base.path_length(b.flipped())
-
     def _arrow_list(self) -> tuple[Arrow, ...]:
         return tuple(sorted(Arrow(a.dst, a.direction, a.src, -a.shift) for a in self.base.arrows()))
 
@@ -711,15 +697,6 @@ def export_json(alg) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def import_json(text: str) -> PresentedAlgebra:
-    payload = json.loads(text)
-    alg = build(AlgebraSpec.from_describe(payload["params"]))
-    got = [list(v) for v in alg.vertices]
-    if got != payload["vertices"]:
-        raise ValueError("vertex set mismatch on import")
-    return alg
-
-
 # ---------------------------------------------------------------------- quivers with relations
 
 GRADED_DIM_CAP = 64  # largest graded piece the quotient may have
@@ -730,10 +707,6 @@ class QArrow(NamedTuple):
     aid: int
     src: object
     dst: object
-
-
-class GradedCapExceeded(RuntimeError):
-    pass
 
 
 class QuiverWithRelations:
@@ -774,7 +747,7 @@ class QuiverWithRelations:
         while history[-1]:
             m = len(history) - 1
             if m >= GRADED_DEG_CAP:
-                raise GradedCapExceeded(f"degree cap {GRADED_DEG_CAP} exceeded from source {v}")
+                raise CapExceeded(f"degree cap {GRADED_DEG_CAP} exceeded from source {v}")
             cur = history[m]
             step_mult: dict[int, Mat] = {}
             nxt: dict[object, int] = {}
@@ -795,7 +768,7 @@ class QuiverWithRelations:
                 images = [image for image in images if image is not None]
                 proj = cokernel_projection(hstack(images)) if images else ident
                 if proj.rows > GRADED_DIM_CAP:
-                    raise GradedCapExceeded(f"dimension cap {GRADED_DIM_CAP} exceeded at {(v, u)}")
+                    raise CapExceeded(f"dimension cap {GRADED_DIM_CAP} exceeded at {(v, u)}")
                 if proj.rows:
                     nxt[u] = proj.rows
                     for a in inc:
@@ -821,18 +794,6 @@ class QuiverWithRelations:
             else:
                 image = f.scale(sign) if image is None else image + f.scale(sign)
         return image
-
-
-def presentation_quiver(alg) -> QuiverWithRelations:
-    """The algebra's quiver together with its emitted relations.
-
-    Matching this quotient's graded dimensions against the basis predicate
-    certifies that the exported relation list presents the algebra.
-    """
-    aid = {a: k for k, a in enumerate(alg.arrows())}
-    arrows = [QArrow(k, a.src, a.dst) for a, k in aid.items()]
-    rels = [[tuple(aid[a] for a in path) for path in rel] for rel in relations(alg)]
-    return QuiverWithRelations(alg.vertices, arrows, rels)
 
 
 # ---------------------------------------------------------------------- mesh presentation

@@ -46,16 +46,26 @@ from .reps import (
 )
 
 
-@dataclass
-class CheckItem:
-    claim: str
-    ok: bool
-    checked: int
-    counterexample: dict | None = None
+class Claim:
+    """One claim of a report: the instances checked and the first counterexample."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.counterexample: dict | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
+
+    def record(self, ok: bool, **payload) -> None:
+        self.checked += 1
+        if not ok and self.counterexample is None:
+            self.counterexample = {k: _plain(v) for k, v in payload.items()}
 
     def to_json_dict(self) -> dict:
         return {
-            "claim": self.claim,
+            "claim": self.name,
             "ok": self.ok,
             "checked": self.checked,
             "counterexample": self.counterexample,
@@ -66,7 +76,12 @@ class CheckItem:
 class CheckReport:
     suite: str
     spec: dict
-    items: list[CheckItem] = field(default_factory=list)
+    items: list[Claim] = field(default_factory=list)
+
+    def claim(self, name: str) -> Claim:
+        """A new claim, appended to the report."""
+        self.items.append(Claim(name))
+        return self.items[-1]
 
     @property
     def passed(self) -> bool:
@@ -87,29 +102,12 @@ class CheckReport:
         lines = [f"suite {self.suite}  spec {json.dumps(self.spec, sort_keys=True)}"]
         for item in self.items:
             status = "PASS" if item.ok else "FAIL"
-            line = f"  {status}  {item.claim}  [checked {item.checked}]"
+            line = f"  {status}  {item.name}  [checked {item.checked}]"
             if item.counterexample is not None:
                 line += f"  counterexample: {json.dumps(item.counterexample, sort_keys=True)}"
             lines.append(line)
         lines.append(f"  => {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-
-class _Claim:
-    """Accumulates instance results for one claim; keeps the first counterexample."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.counterexample: dict | None = None
-
-    def record(self, ok: bool, **payload) -> None:
-        self.checked += 1
-        if not ok and self.counterexample is None:
-            self.counterexample = {k: _plain(v) for k, v in payload.items()}
-
-    def item(self) -> CheckItem:
-        return CheckItem(self.name, self.counterexample is None, self.checked, self.counterexample)
 
 
 def _plain(v):
@@ -143,8 +141,9 @@ def check_hom_ext_formulas(spec: AlgebraSpec) -> CheckReport:
     mods = {l: interval_module(alg, l) for l in lams}
     cap = max(default_cap(alg), d + 2)
     resolutions = {l: min_proj_resolution(mods[l], cap) for l in lams}
+    report = CheckReport("hom-ext", spec.describe())
 
-    hom_claim = _Claim("hom.dim_equals_interlacing_count")
+    hom_claim = report.claim("hom.dim_equals_interlacing_count")
     hom_dims: dict[tuple[IntTuple, IntTuple], int] = {}
     for lam in lams:
         for mu in lams:
@@ -153,25 +152,22 @@ def check_hom_ext_formulas(spec: AlgebraSpec) -> CheckReport:
             want = alg.module_hom_formula(lam, mu)
             hom_claim.record(got == want, lam=lam, mu=mu, got=got, want=want)
 
-    rigidity = _Claim("ext.vanishes_in_middle_degrees")
+    rigidity = report.claim("ext.vanishes_in_middle_degrees")
     for lam in lams:
         for mu in lams:
             for i in range(1, d):
                 got = ext_dim_from_resolution(resolutions[lam], mods[mu], i)
                 rigidity.record(got == 0, lam=lam, mu=mu, degree=i, got=got, want=0)
 
-    items = [hom_claim.item(), rigidity.item()]
-
     if alg.has_global_dimension_d:
-        top = _Claim("ext.top_degree_equals_translate_interlacing")
+        top = report.claim("ext.top_degree_equals_translate_interlacing")
         for lam in lams:
             for mu in lams:
                 got = ext_dim_from_resolution(resolutions[lam], mods[mu], d)
                 want = alg.top_ext_formula(lam, mu)
                 top.record(got == want, lam=lam, mu=mu, got=got, want=want)
-        items.append(top.item())
 
-    ar = _Claim("ext.reflects_stable_hom_through_translate")
+    ar = report.claim("ext.reflects_stable_hom_through_translate")
     taus = {l: tau_d(mods[l], d) for l in lams}
     covers = {l: projective_cover(mods[l])[1] for l in lams}
     for lam in lams:
@@ -182,9 +178,7 @@ def check_hom_ext_formulas(spec: AlgebraSpec) -> CheckReport:
                 stable -= hom_span_rank([g.then(pi) for g in hom_space(mods[lam], pi.src)])
             got = ext_dim_from_resolution(resolutions[mu], taus[lam], d)
             ar.record(got == stable, lam=lam, mu=mu, ext=got, stable_hom=stable)
-    items.append(ar.item())
-
-    return CheckReport("hom-ext", spec.describe(), items)
+    return report
 
 
 # --------------------------------------------------------------------- resolutions
@@ -198,10 +192,10 @@ def check_resolutions(spec: AlgebraSpec) -> CheckReport:
     first, last = spec.row.entries(spec)
     bound_at = spec.row.bound_at(spec)
     lams = alg.summands()
-    items = []
+    report = CheckReport("resolutions", spec.describe())
 
     if alg.has_global_dimension_d:
-        proj_terms = _Claim("resolution.projective_terms_match_closed_form")
+        proj_terms = report.claim("resolution.projective_terms_match_closed_form")
         for lam in lams:
             if lam[0] == first:
                 continue  # projective
@@ -213,9 +207,8 @@ def check_resolutions(spec: AlgebraSpec) -> CheckReport:
             want = [(v,) for v in expected]
             ok = res.complete and res.length == d and got == want
             proj_terms.record(ok, lam=lam, got=[list(map(list, t)) for t in got])
-        items.append(proj_terms.item())
 
-        inj_terms = _Claim("coresolution.injective_terms_match_closed_form")
+        inj_terms = report.claim("coresolution.injective_terms_match_closed_form")
         for lam in lams:
             if lam[-1] == last:
                 continue  # injective
@@ -227,9 +220,8 @@ def check_resolutions(spec: AlgebraSpec) -> CheckReport:
             want = [(v,) for v in expected]
             ok = cores.complete and cores.length == d and got == want
             inj_terms.record(ok, lam=lam, got=[list(map(list, t)) for t in got])
-        items.append(inj_terms.item())
 
-    omega = _Claim("syzygy.d_fold_lands_on_translated_interval")
+    omega = report.claim("syzygy.d_fold_lands_on_translated_interval")
     for lam in lams:
         x = lam[-1] + 1 - bound_at(lam[-1])
         if lam[0] == x:
@@ -243,9 +235,7 @@ def check_resolutions(spec: AlgebraSpec) -> CheckReport:
         expected_index = (x,) + tuple(v - 1 for v in lam[:-1])
         ok, why = _iso_ok(omega_d, interval_module(alg, expected_index))
         omega.record(ok, lam=lam, expected=expected_index, reason=why)
-    items.append(omega.item())
-
-    return CheckReport("resolutions", spec.describe(), items)
+    return report
 
 
 # --------------------------------------------------------------------- projectives / injectives
@@ -266,8 +256,9 @@ def _expected_injective_index(alg, v: IntTuple) -> IntTuple:
 def check_proj_inj(spec: AlgebraSpec) -> CheckReport:
     """Indecomposable projectives and injectives realize their closed-form intervals."""
     alg = build(spec)
-    proj = _Claim("projective.realizes_closed_form_interval")
-    inj = _Claim("injective.realizes_closed_form_interval")
+    report = CheckReport("proj-inj", spec.describe())
+    proj = report.claim("projective.realizes_closed_form_interval")
+    inj = report.claim("injective.realizes_closed_form_interval")
     for v in alg.vertices:
         p_index, _ = alg.canonical(_expected_projective_index(alg, v))
         ok, why = _iso_ok(projective_module(alg, v), interval_module(alg, p_index))
@@ -276,18 +267,19 @@ def check_proj_inj(spec: AlgebraSpec) -> CheckReport:
         ok, why = _iso_ok(injective_module(alg, v), interval_module(alg, i_index))
         inj.record(ok and alg.is_summand(i_index), vertex=v, expected=i_index, reason=why)
 
-    flags = _Claim("summand.projectivity_matches_closed_form")
+    flags = report.claim("summand.projectivity_matches_closed_form")
     for lam in alg.summands():
         want = lam == alg.canonical(_expected_projective_index(alg, tuple(lam[1:])))[0]
         got = is_projective(interval_module(alg, lam))
         flags.record(got == want, lam=lam, got=got, want=want)
-    return CheckReport("proj-inj", spec.describe(), [proj.item(), inj.item(), flags.item()])
+    return report
 
 
 def check_kupisch_lengths(spec: AlgebraSpec) -> CheckReport:
     """Loewy length of the projective at each constant vertex equals the series entry."""
     alg = build(spec)
-    claim = _Claim("projective.loewy_length_matches_series")
+    report = CheckReport("kupisch-lengths", spec.describe())
+    claim = report.claim("projective.loewy_length_matches_series")
     first, last = spec.row.entries(spec)
     bound_at = spec.row.bound_at(spec)
     for i in range(first, last + 1):
@@ -295,7 +287,7 @@ def check_kupisch_lengths(spec: AlgebraSpec) -> CheckReport:
         got = loewy_length_module(projective_module(alg, v))
         want = bound_at(i)
         claim.record(got == want, vertex=v, got=got, want=want)
-    return CheckReport("kupisch-lengths", spec.describe(), [claim.item()])
+    return report
 
 
 # --------------------------------------------------------------------- translates
@@ -305,10 +297,11 @@ def check_tau_translate(spec: AlgebraSpec) -> CheckReport:
     """The higher translate acts on interval summands by subtracting the unit tuple."""
     alg = build(spec)
     d = alg.d
-    agree = _Claim("translate.matches_shifted_interval")
-    loewy = _Claim("translate.preserves_loewy_length")
-    proj_zero = _Claim("translate.kills_projectives")
-    simples = _Claim("translate.sends_simple_summands_to_simples_or_zero")
+    report = CheckReport("tau-translate", spec.describe())
+    agree = report.claim("translate.matches_shifted_interval")
+    loewy = report.claim("translate.preserves_loewy_length")
+    proj_zero = report.claim("translate.kills_projectives")
+    simples = report.claim("translate.sends_simple_summands_to_simples_or_zero")
     for lam in alg.summands():
         M = interval_module(alg, lam)
         t = tau_d(M, d)
@@ -328,11 +321,7 @@ def check_tau_translate(spec: AlgebraSpec) -> CheckReport:
         )
         if loewy_len(lam) == 1:
             simples.record(t.total_dim == 1, lam=lam, got_dim=t.total_dim)
-    return CheckReport(
-        "tau-translate",
-        spec.describe(),
-        [agree.item(), loewy.item(), proj_zero.item(), simples.item()],
-    )
+    return report
 
 
 # --------------------------------------------------------------------- cluster tilting
@@ -356,21 +345,22 @@ def check_cluster_tilting(spec: AlgebraSpec) -> CheckReport:
                 return cand
         return None
 
-    gen = _Claim("ct.projectives_and_injectives_are_summands")
+    report = CheckReport("cluster-tilting", spec.describe())
+    gen = report.claim("ct.projectives_and_injectives_are_summands")
     for v in alg.vertices:
         gen.record(find_summand_iso(projective_module(alg, v)) is not None, vertex=v, side="projective")
         gen.record(find_summand_iso(injective_module(alg, v)) is not None, vertex=v, side="injective")
 
     cap = max(default_cap(alg), 2 * d)
     resolutions = {l: min_proj_resolution(mods[l], cap) for l in lams}
-    rigid = _Claim("ct.rigid_below_top_degree")
+    rigid = report.claim("ct.rigid_below_top_degree")
     for lam in lams:
         for mu in lams:
             for i in range(1, d):
                 got = ext_dim_from_resolution(resolutions[lam], mods[mu], i)
                 rigid.record(got == 0, lam=lam, mu=mu, degree=i, got=got)
 
-    dz = _Claim("ct.ext_concentrated_in_degrees_divisible_by_d")
+    dz = report.claim("ct.ext_concentrated_in_degrees_divisible_by_d")
     if d >= 2:
         for lam in lams:
             for mu in lams:
@@ -378,7 +368,7 @@ def check_cluster_tilting(spec: AlgebraSpec) -> CheckReport:
                     got = ext_dim_from_resolution(resolutions[lam], mods[mu], i)
                     dz.record(got == 0, lam=lam, mu=mu, degree=i, got=got)
 
-    closure = _Claim("ct.closed_under_d_fold_syzygies")
+    closure = report.claim("ct.closed_under_d_fold_syzygies")
     for lam in lams:
         if is_projective(mods[lam]):
             continue
@@ -387,7 +377,7 @@ def check_cluster_tilting(spec: AlgebraSpec) -> CheckReport:
             omega_d.is_zero() or find_summand_iso(omega_d) is not None, lam=lam
         )
 
-    endo = _Claim("ct.endomorphism_algebra_certificate")
+    endo = report.claim("ct.endomorphism_algebra_certificate")
     try:
         end = endo_algebra(alg, lams)
         g = gldim(end, d + 2)
@@ -401,11 +391,7 @@ def check_cluster_tilting(spec: AlgebraSpec) -> CheckReport:
     except RuntimeError as exc:
         endo.record(False, reason=str(exc))
 
-    return CheckReport(
-        "cluster-tilting",
-        spec.describe(),
-        [gen.item(), rigid.item(), dz.item(), closure.item(), endo.item()],
-    )
+    return report
 
 
 def check_endo_tower(spec: AlgebraSpec) -> CheckReport:
@@ -416,19 +402,17 @@ def check_endo_tower(spec: AlgebraSpec) -> CheckReport:
     target = build(replace(spec, d=spec.d + 1))
     report = CheckReport("endo-tower", spec.describe())
 
-    verts = _Claim("endo.summand_labels_match_next_vertex_set")
+    verts = report.claim("endo.summand_labels_match_next_vertex_set")
     verts.record(end.vertices == target.vertices, got=len(end.vertices), want=len(target.vertices))
-    report.items.append(verts.item())
 
-    dims = _Claim("endo.hom_matrix_matches_next_algebra")
+    dims = report.claim("endo.hom_matrix_matches_next_algebra")
     for a in end.vertices:
         for b in end.vertices:
             got = end.hom_dim(a, b)
             want = target.hom_dim(a, b)
             dims.record(got == want, src=a, dst=b, got=got, want=want)
-    report.items.append(dims.item())
 
-    comp = _Claim("endo.composition_table_matches_next_algebra")
+    comp = report.claim("endo.composition_table_matches_next_algebra")
     for a in end.vertices:
         for b in end.vertices:
             if not end.hom_dim(a, b):
@@ -441,7 +425,6 @@ def check_endo_tower(spec: AlgebraSpec) -> CheckReport:
                 got = end.compose(f_end, end.hom_basis(b, c)[0]) is not None
                 want = target.compose(f_tgt, target.hom_basis(b, c)[0]) is not None
                 comp.record(got == want, src=a, mid=b, dst=c, got=got, want=want)
-    report.items.append(comp.item())
     return report
 
 
@@ -458,7 +441,7 @@ def check_homological_embedding(
         "homological-embedding",
         {"inner": inner_spec.describe(), "outer": outer_spec.describe(), "degrees": degree_bound},
     )
-    emb = _Claim("embedding.vertices_form_a_subquotient")
+    emb = report.claim("embedding.vertices_form_a_subquotient")
     subset = set(inner.vertices) <= set(outer.vertices)
     emb.record(subset, inner_vertices=len(inner.vertices), outer_vertices=len(outer.vertices))
     if subset:
@@ -467,25 +450,23 @@ def check_homological_embedding(
                 emb.record(
                     inner.hom_dim(v, w) <= outer.hom_dim(v, w), src=v, dst=w
                 )
-    report.items.append(emb.item())
     if not subset:
         return report
 
     lams = inner.summands()
     inner_mods = {l: interval_module(inner, l) for l in lams}
     outer_mods = {l: interval_module(outer, l) for l in lams}
-    support = _Claim("embedding.extension_by_zero_preserves_support")
+    support = report.claim("embedding.extension_by_zero_preserves_support")
     for l in lams:
         support.record(
             inner_mods[l].total_dim == outer_mods[l].total_dim, lam=l
         )
-    report.items.append(support.item())
 
     cap_in = max(default_cap(inner), degree_bound + 2)
     cap_out = max(default_cap(outer), degree_bound + 2)
     res_in = {l: min_proj_resolution(inner_mods[l], cap_in) for l in lams}
     res_out = {l: min_proj_resolution(outer_mods[l], cap_out) for l in lams}
-    agree = _Claim("embedding.ext_spaces_agree")
+    agree = report.claim("embedding.ext_spaces_agree")
     for lam in lams:
         for mu in lams:
             got0 = len(hom_space(inner_mods[lam], inner_mods[mu]))
@@ -495,7 +476,6 @@ def check_homological_embedding(
                 got = ext_dim_from_resolution(res_in[lam], inner_mods[mu], i)
                 want = ext_dim_from_resolution(res_out[lam], outer_mods[mu], i)
                 agree.record(got == want, lam=lam, mu=mu, degree=i, inner=got, outer=want)
-    report.items.append(agree.item())
     return report
 
 
@@ -504,11 +484,12 @@ def check_homological_embedding(
 
 def check_selfinjective(spec: AlgebraSpec) -> CheckReport:
     alg = build(spec)
-    claim = _Claim("selfinjective.projectives_equal_injectives")
+    report = CheckReport("selfinjective", spec.describe())
+    claim = report.claim("selfinjective.projectives_equal_injectives")
     for v in alg.vertices:
         claim.record(is_injective(projective_module(alg, v)), vertex=v, side="projective")
         claim.record(is_projective(injective_module(alg, v)), vertex=v, side="injective")
-    return CheckReport("selfinjective", spec.describe(), [claim.item()])
+    return report
 
 
 def check_orbit_periodicity(spec: AlgebraSpec, exponent: int | None = None) -> CheckReport:
@@ -518,8 +499,9 @@ def check_orbit_periodicity(spec: AlgebraSpec, exponent: int | None = None) -> C
     alg = build(spec)
     d, n = alg.d, spec.n
     top = exponent if exponent is not None else 2 * n
-    period = _Claim("orbit.translate_period_equals_rank")
-    simple = _Claim("orbit.translates_of_simples_stay_simple")
+    report = CheckReport("orbit-periodicity", spec.describe())
+    period = report.claim("orbit.translate_period_equals_rank")
+    simple = report.claim("orbit.translates_of_simples_stay_simple")
     for lam in alg.summands():
         M = interval_module(alg, lam)
         if is_projective(M):
@@ -535,7 +517,7 @@ def check_orbit_periodicity(spec: AlgebraSpec, exponent: int | None = None) -> C
                 want = (j - i) % n == 0
                 ok = (verdict is True) if want else (verdict is False)
                 period.record(ok, lam=lam, i=i, j=j, want_isomorphic=want, verdict=str(verdict))
-    return CheckReport("orbit-periodicity", spec.describe(), [period.item(), simple.item()])
+    return report
 
 
 # --------------------------------------------------------------------- mesh presentation
@@ -548,20 +530,18 @@ def check_mesh_iso(d: int, bound: int | None, window: tuple[int, int]) -> CheckR
     desc = {"mesh_d": d, "bound": bound, "window": list(window)}
     report = CheckReport("mesh-iso", desc)
 
-    verts = _Claim("mesh.vertex_bijection")
+    verts = report.claim("mesh.vertex_bijection")
     images = sorted(mesh.to_standard(v) for v in mesh.vertices)
     verts.record(tuple(images) == std.vertices, got=len(images), want=len(std.vertices))
-    report.items.append(verts.item())
 
-    arrows = _Claim("mesh.arrow_bijection")
+    arrows = report.claim("mesh.arrow_bijection")
     mesh_pairs = sorted(
         (mesh.to_standard(a.src), mesh.to_standard(a.dst)) for a in mesh.quiver.arrows
     )
     std_pairs = sorted((a.src, a.dst) for a in std.arrows())
     arrows.record(mesh_pairs == std_pairs, got=len(mesh_pairs), want=len(std_pairs))
-    report.items.append(arrows.item())
 
-    graded = _Claim("mesh.graded_hom_dimensions_match")
+    graded = report.claim("mesh.graded_hom_dimensions_match")
     got = mesh.quiver.graded_hom_dims()
     want: dict[tuple, dict[int, int]] = {}
     for v in std.vertices:
@@ -582,10 +562,9 @@ def check_mesh_iso(d: int, bound: int | None, window: tuple[int, int]) -> CheckR
                     want=want.get(key),
                 )
                 break
-    report.items.append(graded.item())
 
     if bound is not None:
-        serre = _Claim("mesh.serre_permutation_has_fundamental_domain")
+        serre = report.claim("mesh.serre_permutation_has_fundamental_domain")
         a, b = window
         # one full rotation of a (d+1)-tuple shifts every entry by bound - 1
         span = (d + 1) * ((b - a) // (bound - 1) + 3)
@@ -602,7 +581,6 @@ def check_mesh_iso(d: int, bound: int | None, window: tuple[int, int]) -> CheckR
                     orbit.append(mu)
             hits = sum(1 for mu in orbit if 0 <= mu[0] and mu[-1] <= bound - 2)
             serre.record(hits == 1, lam=lam, hits=hits)
-        report.items.append(serre.item())
     return report
 
 
@@ -618,13 +596,11 @@ def check_gldim(spec: AlgebraSpec) -> CheckReport:
     if alg.has_global_dimension_d:
         first, last = spec.row.entries(spec)
         n = last - first + 1
-        claim = _Claim("gldim.hereditary_type_equals_d")
+        claim = report.claim("gldim.hereditary_type_equals_d")
         claim.record(value == (d if n >= 2 else 0), got=value, want=d if n >= 2 else 0)
-        report.items.append(claim.item())
     else:
-        claim = _Claim("gldim.finite_values_are_multiples_of_d")
+        claim = report.claim("gldim.finite_values_are_multiples_of_d")
         claim.record(value is None or value % d == 0, got=value, cap=cap)
-        report.items.append(claim.item())
     return report
 
 
@@ -635,23 +611,12 @@ def check_hasse_tower(spec: AlgebraSpec) -> CheckReport:
     for series in kupisch_hasse_path(spec.series):
         sub = AlgebraSpec.kupisch_a(series, spec.d)
         result = check_cluster_tilting(sub)
-        claim = _Claim(f"hasse.cluster_tilting_at_{'-'.join(map(str, series.lengths))}")
+        claim = report.claim(f"hasse.cluster_tilting_at_{'-'.join(map(str, series.lengths))}")
         claim.record(result.passed, series=list(series.lengths))
-        report.items.append(claim.item())
     return report
 
 
 # --------------------------------------------------------------------- registry
-
-
-def _embedding(spec: AlgebraSpec) -> tuple[AlgebraSpec, int] | None:
-    """The default ambient algebra of the spec and the top Ext degree compared, if it has one."""
-    return spec.row.embedding(spec) if spec.row.embedding else None
-
-
-def default_embedding_partner(spec: AlgebraSpec) -> AlgebraSpec | None:
-    found = _embedding(spec)
-    return found[0] if found else None
 
 
 SUITES = {
@@ -676,7 +641,7 @@ def applicable_suites(spec: AlgebraSpec) -> list[str]:
         name
         for name in spec.row.suites
         if (name != "mesh-iso" or spec.d >= 2)
-        and (name != "homological-embedding" or _embedding(spec) is not None)
+        and (name != "homological-embedding" or spec.row.embedding(spec) is not None)
     ]
 
 
@@ -709,7 +674,7 @@ def warn_beyond_desk_scale(spec: AlgebraSpec) -> None:
 def run_suite(spec: AlgebraSpec, name: str) -> CheckReport:
     warn_beyond_desk_scale(spec)
     if name == "homological-embedding":
-        found = _embedding(spec)
+        found = spec.row.embedding(spec)
         if not found:
             raise ValueError("no default ambient algebra for this spec")
         return check_homological_embedding(spec, *found)

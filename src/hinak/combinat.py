@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 IntTuple = tuple[int, ...]
 
@@ -67,30 +66,6 @@ def loewy_len(lam: Sequence[int]) -> int:
 def translate_tuple(lam: Sequence[int], k: int = 1) -> IntTuple:
     """Subtract k from every entry; negative k adds (inverse translation)."""
     return tuple(a - k for a in lam)
-
-
-def enumerate_os(n: int, k: int) -> list[IntTuple]:
-    """All weakly increasing k-tuples with entries in {0,...,n-1}, in lex order.
-
-    The count is C(n+k-1, k).
-
-    >>> enumerate_os(3, 2)
-    [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    return list(itertools.combinations_with_replacement(range(n), k))
-
-
-def count_os(n: int, k: int) -> int:
-    return comb(n + k - 1, k)
-
-
-def enumerate_window_os(a: int, b: int, k: int) -> list[IntTuple]:
-    """Weakly increasing k-tuples with entries in {a,...,b}, in lex order."""
-    if a > b:
-        raise ValueError(f"empty window [{a},{b}]")
-    return [tuple(x + a for x in t) for t in enumerate_os(b - a + 1, k)]
 
 
 def dominates(hi: Sequence[int], lo: Sequence[int]) -> bool:
@@ -189,10 +164,6 @@ class KupischSeries:
         """Number of vertices of the underlying quiver."""
         return len(self.lengths)
 
-    @property
-    def max_length(self) -> int:
-        return max(self.lengths)
-
     def violation(self) -> str | None:
         """None if the variant's inequalities hold, else a description."""
         ls = self.lengths
@@ -231,11 +202,6 @@ class KupischSeries:
         return self.lengths[i % len(self.lengths)]
 
 
-def validate_kupisch(series: KupischSeries) -> str | None:
-    """None when valid, otherwise the first violated inequality."""
-    return series.violation()
-
-
 def kupisch_hasse_path(series: KupischSeries) -> list[KupischSeries]:
     """Chain in the Hasse quiver of linear Kupisch series from series up to (1,2,...,n).
 
@@ -259,22 +225,3 @@ def kupisch_hasse_path(series: KupischSeries) -> list[KupischSeries]:
         step.require_valid()
         path.append(step)
     return path
-
-
-def iter_linear_kupisch(n: int) -> Iterator[KupischSeries]:
-    """All valid linear Kupisch series on n vertices, lexicographically."""
-
-    def extend(prefix: list[int]) -> Iterator[IntTuple]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(2, prefix[-1] + 2):
-            yield from extend(prefix + [v])
-
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        yield KupischSeries.linear_a((1,))
-        return
-    for tail in extend([1]):
-        yield KupischSeries.linear_a(tail)

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebras import AlgebraSpec, Arrow, BasisAlgebra, BasisElt, build, factor_into_arrows
-from .combinat import IntTuple, box_interval, loewy_len, translate_tuple
+from .algebras import AlgebraSpec, Arrow, BasisAlgebra, BasisElt, CapExceeded, build, factor_into_arrows
+from .combinat import IntTuple, loewy_len
 from .linalg import ZERO, Mat, column_space_completion, hstack
-
-
-class CapExceeded(RuntimeError):
-    """A resolution or dimension computation exceeded its step cap."""
 
 
 class MatrixModule:
@@ -256,20 +252,11 @@ class ModuleHom:
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats.values())
 
-    def is_mono(self) -> bool:
-        return all(self.mat(v).rank() == self.src.dim(v) for v in self.src.alg.vertices)
-
-    def is_epi(self) -> bool:
-        return all(self.mat(v).rank() == self.dst.dim(v) for v in self.src.alg.vertices)
-
     def is_iso(self) -> bool:
         return all(
             self.src.dim(v) == self.dst.dim(v) and self.mat(v).rank() == self.src.dim(v)
             for v in self.src.alg.vertices
         )
-
-    def image_dims(self) -> dict[IntTuple, int]:
-        return {v: self.mat(v).rank() for v in self.src.alg.vertices if self.src.dim(v)}
 
     def flatten(self) -> list[Fraction]:
         """The blocks in vertex order, row by row, with the zeros of missing blocks written out."""
@@ -288,14 +275,6 @@ class ModuleHom:
         """The transpose map D(dst) -> D(src) over the opposite algebra."""
         mats = {v: m.transpose() for v, m in self.mats.items()}
         return ModuleHom(dualize(self.dst), dualize(self.src), mats)
-
-    def naturality_violation(self) -> BasisElt | None:
-        for a in self.src.alg.arrows():
-            lhs = self.mat(a.src) * self.src.mat(a.elt)
-            rhs = self.dst.mat(a.elt) * self.mat(a.dst)
-            if lhs != rhs:
-                return a.elt
-        return None
 
 
 def _nonempty(blocks: dict[IntTuple, Mat]) -> dict[IntTuple, Mat]:
@@ -391,7 +370,7 @@ def cokernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
     return C, ModuleHom(h.dst, C, {v: m.transpose() for v, m in incl.mats.items()})
 
 
-# ---------------------------------------------------------------------- radical, top, socle
+# ---------------------------------------------------------------------- radical, socle
 
 
 def radical_spanning_columns(M: MatrixModule, v) -> Mat:
@@ -413,15 +392,6 @@ def radical_module(M: MatrixModule) -> tuple[MatrixModule, ModuleHom]:
     return _submodule(M, {v: _independent_columns(radical_spanning_columns(M, v)) for v in M.alg.vertices})
 
 
-def top_dims(M: MatrixModule) -> dict[IntTuple, int]:
-    out = {}
-    for v in M.alg.vertices:
-        dv = M.dim(v)
-        if dv:
-            out[v] = dv - radical_spanning_columns(M, v).rank()
-    return {v: k for v, k in out.items() if k}
-
-
 def socle_module(M: MatrixModule) -> tuple[MatrixModule, ModuleHom]:
     alg = M.alg
     bases = {}
@@ -437,11 +407,6 @@ def socle_module(M: MatrixModule) -> tuple[MatrixModule, ModuleHom]:
     S = MatrixModule(alg, dims, {})
     incl = ModuleHom(S, M, _nonempty(bases))
     return S, incl
-
-
-def socle_dims(M: MatrixModule) -> dict[IntTuple, int]:
-    S, _ = socle_module(M)
-    return {v: k for v, k in S.dims.items() if k}
 
 
 def loewy_length_module(M: MatrixModule) -> int:
@@ -529,14 +494,6 @@ def injective_envelope(M: MatrixModule) -> tuple[InjSum, ModuleHom]:
         mats[w] = m
     h = ModuleHom(M, I.module, mats)
     return I, h
-
-
-def cosyzygy_module(M: MatrixModule) -> MatrixModule:
-    if M.is_zero():
-        return M
-    _, h = injective_envelope(M)
-    C, _ = cokernel_of_hom(h)
-    return C
 
 
 # ---------------------------------------------------------------------- resolutions
@@ -657,15 +614,18 @@ def min_inj_coresolution(M: MatrixModule, cap: int) -> InjCoresolution:
 
 
 def default_cap(alg) -> int:
+    """The resolution cap 2(d + 1), or the integer >= 0 that ``HINAK_CAP`` sets."""
     import os
 
     env = os.environ.get("HINAK_CAP")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"HINAK_CAP must be an integer, got {env!r}") from None
-    return 2 * (alg.d + 1)
+    if not env:
+        return 2 * (alg.d + 1)
+    try:
+        if int(env) >= 0:
+            return int(env)
+    except ValueError:
+        pass
+    raise ValueError(f"HINAK_CAP must be an integer >= 0, got {env!r}")
 
 
 def ext_dim(M: MatrixModule, N: MatrixModule, degree: int, cap: int | None = None) -> int:
@@ -816,22 +776,6 @@ def tau_d_inverse(M: MatrixModule, d: int) -> MatrixModule:
     return transpose_module(X)
 
 
-def nakayama_functor(alg, M: MatrixModule) -> MatrixModule:
-    """Send a projective module to the matching injective, additively."""
-    if M.is_zero():
-        return M
-    if not is_projective(M):
-        raise ValueError("input to the Nakayama functor must be projective")
-    mult = top_dims(M)
-    summands = tuple(v for v in sorted(mult) for _ in range(mult[v]))
-    return InjSum(alg, summands).module
-
-
-def nakayama_hom(am: AlgMat) -> ModuleHom:
-    """Image of a map between sums of projectives under the Nakayama functor D Hom(-, A)."""
-    return alg_mat_to_hom(_transpose_alg_mat(am)).dual()
-
-
 # ---------------------------------------------------------------------- iso testing and stable Hom
 
 
@@ -871,54 +815,7 @@ def hom_span_rank(maps: Sequence[ModuleHom]) -> int:
     return Mat.from_rows(rows).rank() if rows else 0
 
 
-def stable_hom_dim(M: MatrixModule, N: MatrixModule) -> int:
-    """dim Hom(M, N) minus the maps factoring through a projective."""
-    homs = hom_space(M, N)
-    if not homs:
-        return 0
-    P, pi = projective_cover(N)
-    return len(homs) - hom_span_rank([g.then(pi) for g in hom_space(M, P.module)])
-
-
-def costable_hom_dim(M: MatrixModule, N: MatrixModule) -> int:
-    """dim Hom(M, N) minus the maps factoring through an injective: the stable Hom of the duals."""
-    return stable_hom_dim(dualize(N), dualize(M))
-
-
-# ---------------------------------------------------------------------- interval-specific helpers
-
-
-def image_interval(lam: Sequence[int], mu: Sequence[int]) -> tuple[IntTuple, IntTuple]:
-    """Support box of the image of the basis map between interval modules."""
-    from .combinat import interlaces as _il
-
-    lam, mu = tuple(lam), tuple(mu)
-    if not _il(lam, mu):
-        raise ValueError(f"{lam} does not interlace {mu}")
-    return tuple(mu[:-1]), tuple(lam[1:])
-
-
-def d_almost_split_summands(alg, lam: Sequence[int]) -> list[IntTuple]:
-    """Total summand multiset of the almost split sequence ending at the interval at lam."""
-    lam = tuple(lam)
-    if not alg.is_summand(lam):
-        raise ValueError(f"{lam} does not index a summand")
-    if is_projective(interval_module(alg, lam)):
-        raise ValueError(f"interval at {lam} is projective")
-    lo = translate_tuple(lam, 1)
-    out = []
-    for t in box_interval(lo, lam):
-        rep, _ = alg.canonical(t)
-        if alg.is_summand(rep):
-            out.append(rep)
-    return sorted(out)
-
-
-def orbit_hom_dim(alg, lam: Sequence[int], mu: Sequence[int]) -> int:
-    """Closed-form Hom dimension between pushed-down intervals: the shift count."""
-    if alg.orbit_modulus is None:
-        raise ValueError("orbit_hom_dim needs an orbit algebra")
-    return alg.module_hom_formula(lam, mu)
+# ---------------------------------------------------------------------- orbit families
 
 
 def orbit_ext_dim(

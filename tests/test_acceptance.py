@@ -22,8 +22,8 @@ from hinak.checks import (
     check_selfinjective,
     check_tau_translate,
 )
-from hinak.combinat import iter_linear_kupisch
 from hinak.reps import gldim
+from test_combinat import iter_linear_kupisch
 
 HOM_EXT_RANGE = [(n, d) for n in range(2, 6) for d in range(1, 4)]
 
@@ -44,10 +44,10 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _claims(report, *names):
-    picked = [item for item in report.items if item.claim in names]
+    picked = [item for item in report.items if item.name in names]
     assert len(picked) == len(names), f"missing claims {names} in {report.suite}"
     bad = [item for item in picked if not item.ok]
-    return not bad, "; ".join(f"{i.claim}: {i.counterexample}" for i in bad)
+    return not bad, "; ".join(f"{i.name}: {i.counterexample}" for i in bad)
 
 
 def test_criterion_01_hom_formula(hom_ext_reports):
@@ -114,7 +114,7 @@ def test_criterion_05_tau_agreement():
         report = check_tau_translate(spec)
         if not report.passed:
             bad = [i for i in report.items if not i.ok]
-            ok, detail = False, f"{spec}: {bad[0].claim} {bad[0].counterexample}"
+            ok, detail = False, f"{spec}: {bad[0].name} {bad[0].counterexample}"
     _verdict("5 tau-agreement", ok, detail)
 
 
@@ -171,7 +171,7 @@ def test_criterion_10_mesh_presentation():
             report = check_mesh_iso(d, ell, (0, 2 * ell))
             if not report.passed:
                 bad = [i for i in report.items if not i.ok]
-                ok, detail = False, f"d={d} l={ell}: {bad[0].claim}"
+                ok, detail = False, f"d={d} l={ell}: {bad[0].name}"
     _verdict("10 mesh-presentation-isomorphism", ok, detail)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from hinak.algebras import AlgebraSpec
 from hinak.checks import (
-    CheckItem,
     CheckReport,
     applicable_suites,
     check_gldim,
@@ -13,7 +12,6 @@ from hinak.checks import (
     check_mesh_iso,
     check_proj_inj,
     check_selfinjective,
-    default_embedding_partner,
     run_all,
     run_suite,
 )
@@ -31,9 +29,12 @@ def test_report_serialization_is_deterministic():
 
 
 def test_failing_item_carries_counterexample():
-    item = CheckItem("demo.claim", False, 3, {"lam": [0, 1], "got": 2, "want": 1})
-    report = CheckReport("demo", {"family": "linear-a"}, [item])
-    assert not report.passed
+    report = CheckReport("demo", {"family": "linear-a"})
+    claim = report.claim("demo.claim")
+    claim.record(True, lam=(0, 0), got=1, want=1)
+    claim.record(False, lam=(0, 1), got=2, want=1)
+    claim.record(False, lam=(1, 1), got=3, want=1)  # only the first counterexample is kept
+    assert not report.passed and claim.checked == 3
     text = report.to_text()
     assert "FAIL" in text and "counterexample" in text
     assert json.loads(report.to_json())["checks"][0]["counterexample"]["lam"] == [0, 1]
@@ -63,10 +64,13 @@ def test_embedding_requires_subset():
 
 
 def test_default_embedding_partner():
-    assert default_embedding_partner(AlgebraSpec.window_spec(1, 3, 2)).window == (0, 4)
-    partner = default_embedding_partner(AlgebraSpec.kupisch_a((1, 2, 2, 3), 2))
-    assert partner.series.lengths == (1, 2, 3, 3)
-    assert default_embedding_partner(AlgebraSpec.kupisch_a((1, 2, 3), 2)) is None
+    def partner(spec):
+        return spec.row.embedding(spec)
+
+    assert partner(AlgebraSpec.window_spec(1, 3, 2)) == (AlgebraSpec.window_spec(0, 4, 2), 3)
+    assert partner(AlgebraSpec.kupisch_a((1, 2, 2, 3), 2)) == (AlgebraSpec.kupisch_a((1, 2, 3, 3), 2), 1)
+    assert partner(AlgebraSpec.kupisch_a((1, 2, 3), 2)) is None
+    assert partner(AlgebraSpec.linear_an(4, 2)) is None
 
 
 def test_mesh_iso_without_bound():
@@ -100,14 +104,14 @@ def test_applicable_suites_cover_families():
 def test_run_all_on_atilde_kupisch():
     reports = run_all(AlgebraSpec.atilde_kupisch((2, 3), 2))
     assert all(r.passed for r in reports), [
-        (r.suite, i.claim) for r in reports for i in r.items if not i.ok
+        (r.suite, i.name) for r in reports for i in r.items if not i.ok
     ]
 
 
 def test_run_all_on_small_window():
     reports = run_all(AlgebraSpec.window_spec(1, 3, 2))
     assert all(r.passed for r in reports), [
-        (r.suite, i.claim) for r in reports for i in r.items if not i.ok
+        (r.suite, i.name) for r in reports for i in r.items if not i.ok
     ]
 
 

@@ -87,6 +87,18 @@ def test_resolve_and_cap_exit_code():
     assert code == 3 and "cap" in err
 
 
+def test_graded_cap_in_mesh_iso_exits_3(monkeypatch):
+    import hinak.algebras
+
+    monkeypatch.setattr(hinak.algebras, "GRADED_DEG_CAP", 2)
+    code, out, err = run_cli(
+        "check", "--family", "zl-window", "--l", "3", "--a", "0", "--b", "4", "--d", "2",
+        "--suite", "mesh-iso",
+    )
+    assert code == 3 and out == ""
+    assert "cap exceeded" in err and "degree cap 2" in err
+
+
 def test_check_exit_codes_and_reports():
     code, out, _ = run_cli(
         "check",
