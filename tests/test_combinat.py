@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hinak.algebras import AlgebraSpec, build
 from hinak.combinat import (
     KupischSeries,
     as_os,
@@ -82,6 +84,32 @@ def test_translate_tuple():
 @given(os_tuples, st.integers(-3, 3))
 def test_translate_preserves_loewy_length(lam, k):
     assert loewy_len(translate_tuple(lam, k)) == loewy_len(lam)
+
+
+def linear_os(n, k):
+    """The ordered sequences of length k over {0,...,n-1} as the program lists them: the vertices of A^{k}_n."""
+    return list(build(AlgebraSpec.linear_an(n, k)).vertices)
+
+
+def test_enumerate_os_small():
+    assert linear_os(3, 2) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    assert len(linear_os(4, 2)) == 10
+    assert linear_os(1, 5) == [(0, 0, 0, 0, 0)]
+
+
+def test_enumerate_os_counts():
+    for n in range(1, 9):
+        for k in range(1, 5):
+            assert len(linear_os(n, k)) == math.comb(n + k - 1, k)
+            assert len(build(AlgebraSpec.linear_an(n, k)).summands()) == math.comb(n + k, k + 1)
+
+
+def test_enumerate_os_lex_sorted():
+    for n, k in [(4, 2), (3, 3)]:
+        ts = linear_os(n, k)
+        assert ts == sorted(ts)
+        ss = build(AlgebraSpec.linear_an(n, k)).summands()
+        assert ss == sorted(ss)
 
 
 def test_validate_kupisch():
