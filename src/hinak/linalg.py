@@ -1,8 +1,8 @@
 """Dense exact linear algebra over the rationals.
 
-Every matrix entry is a :class:`fractions.Fraction`; no floating point is
-used anywhere.  Matrices at the scale of this package stay small (a few
-hundred rows), so plain Gaussian elimination with exact pivoting is enough.
+Entries are ``int | Fraction``: ints until a division, which always goes through
+:func:`_div`, is inexact.  No floating point is used anywhere.  Matrices stay
+small (a few hundred rows), so plain Gaussian elimination is enough.
 """
 
 from __future__ import annotations
@@ -10,8 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _div(x: int | Fraction, p: int | Fraction) -> int | Fraction:
+    """The exact quotient x / p: an int when it is integral, else a Fraction."""
+    if type(x) is int and type(p) is int:
+        return x // p if x % p == 0 else Fraction(x, p)
+    q = x / p
+    return q.numerator if q.denominator == 1 else q
 
 
 class Mat:
@@ -19,7 +24,7 @@ class Mat:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: list[list[Fraction]], rows: int | None = None, cols: int | None = None):
+    def __init__(self, data: list[list[int | Fraction]], rows: int | None = None, cols: int | None = None):
         if rows is None:
             rows = len(data)
         if cols is None:
@@ -32,18 +37,18 @@ class Mat:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Mat":
-        data = [[Fraction(x) for x in r] for r in rows]
+        data = [[x if type(x) is int else _div(Fraction(x), 1) for x in r] for r in rows]
         if not data:
             return Mat([], 0, 0)
         return Mat(data)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat([[ZERO] * cols for _ in range(rows)], rows, cols)
+        return Mat([[0] * cols for _ in range(rows)], rows, cols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n, n)
+        return Mat([[int(i == j) for j in range(n)] for i in range(n)], n, n)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -79,13 +84,14 @@ class Mat:
         )
 
     def scale(self, c) -> "Mat":
-        c = Fraction(c)
+        if type(c) is not int:
+            c = _div(Fraction(c), 1)
         return Mat([[c * x for x in row] for row in self.data], self.rows, self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
+        out = [[0] * other.cols for _ in range(self.rows)]
         for i, row in enumerate(self.data):
             out_i = out[i]
             for k, a in enumerate(row):
@@ -102,7 +108,7 @@ class Mat:
             return Mat([[] for _ in range(self.cols)], self.cols, 0) if self.cols else Mat([], 0, 0)
         return Mat([list(col) for col in zip(*self.data)], self.cols, self.rows)
 
-    def column(self, j: int) -> list[Fraction]:
+    def column(self, j: int) -> list[int | Fraction]:
         return [row[j] for row in self.data]
 
     def _same_shape(self, other: "Mat") -> None:
@@ -124,7 +130,7 @@ class Mat:
             m[r], m[pr] = m[pr], m[r]
             pv = m[r][c]
             if pv != 1:
-                m[r] = [x / pv for x in m[r]]
+                m[r] = [_div(x, pv) for x in m[r]]
             for i in range(rows):
                 if i != r and m[i][c] != 0:
                     f = m[i][c]
@@ -142,8 +148,8 @@ class Mat:
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
-            v = [ZERO] * self.cols
-            v[fc] = ONE
+            v = [0] * self.cols
+            v[fc] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -red.data[r][fc]
             basis.append(v)
@@ -165,7 +171,7 @@ class Mat:
         for c in pivots:
             if c >= self.cols:
                 return None
-        sol = [[ZERO] * rhs.cols for _ in range(self.cols)]
+        sol = [[0] * rhs.cols for _ in range(self.cols)]
         for r, pc in enumerate(pivots):
             for j in range(rhs.cols):
                 sol[pc][j] = red.data[r][self.cols + j]
@@ -221,7 +227,7 @@ def column_space_completion(m: Mat) -> list[int]:
         if rank == m.rows:
             break
         e = Mat.zeros(m.rows, 1)
-        e.data[j][0] = ONE
+        e.data[j][0] = 1
         cand = hstack([cur, e])
         r = cand.rank()
         if r > rank:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .algebras import AlgebraSpec, Arrow, BasisAlgebra, BasisElt, CapExceeded, build, factor_into_arrows
 from .combinat import IntTuple, loewy_len
-from .linalg import ZERO, Mat, column_space_completion, hstack
+from .linalg import Mat, _div, column_space_completion, hstack
 
 
 class MatrixModule:
@@ -133,7 +133,7 @@ def interval_module(alg, lam: Sequence[int]) -> MatrixModule:
         for s_shift, row in pos[sv].items():
             col = pos[tv].get(s_shift + a.shift)
             if col is not None:
-                m.data[row][col] = Fraction(1)
+                m.data[row][col] = 1
         mats[a.elt] = m
     return MatrixModule(alg, dims, mats)
 
@@ -183,7 +183,7 @@ class ProjSum:
                 for b in alg.hom_basis(a.dst, u):
                     comp = alg.compose(a.elt, b)
                     if comp is not None:
-                        m.data[rows[(s, comp)]][col] = Fraction(1)
+                        m.data[rows[(s, comp)]][col] = 1
                     col += 1
             mats[a.elt] = m
         self.module = MatrixModule(alg, dims, mats)
@@ -258,14 +258,14 @@ class ModuleHom:
             for v in self.src.alg.vertices
         )
 
-    def flatten(self) -> list[Fraction]:
+    def flatten(self) -> list[int | Fraction]:
         """The blocks in vertex order, row by row, with the zeros of missing blocks written out."""
-        out: list[Fraction] = []
+        out: list[int | Fraction] = []
         src, dst = self.src.dims, self.dst.dims
         for v in self.src.alg.vertices:
             m = self.mats.get(v)
             if m is None:
-                out.extend([ZERO] * (dst[v] * src[v]))
+                out.extend([0] * (dst[v] * src[v]))
             else:
                 for row in m.data:
                     out.extend(row)
@@ -300,7 +300,7 @@ def hom_space(M: MatrixModule, N: MatrixModule) -> list[ModuleHom]:
             total += Nd[v] * Md[v]
     if total == 0:
         return []
-    rows: list[list[Fraction]] = []
+    rows: list[list[int | Fraction]] = []
     for a in alg.arrows():
         v, w = a.src, a.dst
         dMv, dMw, dNv, dNw = Md[v], Md[w], Nd[v], Nd[w]
@@ -313,7 +313,7 @@ def hom_space(M: MatrixModule, N: MatrixModule) -> list[ModuleHom]:
             continue
         for i in range(dNv):
             for j in range(dMw):
-                row = [ZERO] * total
+                row = [0] * total
                 if vbase is not None:
                     base = vbase + i * dMv
                     for k in range(dMv):
@@ -505,11 +505,11 @@ class AlgMat:
 
     src: ProjSum
     dst: ProjSum
-    entries: dict[tuple[int, int], list[tuple[Fraction, BasisElt]]]  # (dst summand, src summand)
+    entries: dict[tuple[int, int], list[tuple[int | Fraction, BasisElt]]]  # (dst summand, src summand)
 
 
 def hom_to_alg_mat(h: ModuleHom, src: ProjSum, dst: ProjSum) -> AlgMat:
-    entries: dict[tuple[int, int], list[tuple[Fraction, BasisElt]]] = {}
+    entries: dict[tuple[int, int], list[tuple[int | Fraction, BasisElt]]] = {}
     for s, u in enumerate(src.summands):
         gen = src.generator_position(s)
         col = h.mat(u).column(gen)
@@ -933,11 +933,11 @@ class DerivedAlgebra(BasisAlgebra):
 def _normalize_hom(h: ModuleHom) -> ModuleHom:
     for x in h.flatten():
         if x != 0:
-            return h.scale(Fraction(1) / x)
+            return h.scale(_div(1, x))
     raise ValueError("zero hom cannot be normalized")
 
 
-def _proportionality(h: ModuleHom, rep: ModuleHom) -> Fraction:
+def _proportionality(h: ModuleHom, rep: ModuleHom) -> int | Fraction:
     flat_h, flat_rep = h.flatten(), rep.flatten()
     coeff = None
     for a, b in zip(flat_h, flat_rep):
@@ -945,12 +945,12 @@ def _proportionality(h: ModuleHom, rep: ModuleHom) -> Fraction:
             if a != 0:
                 raise StructureConstantError("composite not proportional to the basis hom")
             continue
-        c = a / b
+        c = _div(a, b)
         if coeff is None:
             coeff = c
         elif coeff != c:
             raise StructureConstantError("composite not proportional to the basis hom")
-    return coeff if coeff is not None else Fraction(0)
+    return coeff if coeff is not None else 0
 
 
 def endo_algebra(alg, lams: Sequence[IntTuple] | None = None) -> DerivedAlgebra:

@@ -1,21 +1,30 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hinak.linalg import Mat, block_diag, cokernel_projection, column_space_completion, hstack
+from hinak import linalg
+from hinak.linalg import Mat, _div, block_diag, cokernel_projection, column_space_completion, hstack
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# ints, Fractions, and Fractions whose denominator is 1, all in one matrix
+mixed_entries = st.one_of(st.integers(-6, 6), rationals, st.integers(-6, 6).map(Fraction))
+
+
+def small_rows(entries, max_dim=5):
+    return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(
+        lambda rc: st.lists(
+            st.lists(entries, min_size=rc[1], max_size=rc[1]),
+            min_size=rc[0],
+            max_size=rc[0],
+        )
+    )
 
 
 def small_matrix(max_dim=5):
-    return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(
-        lambda rc: st.lists(
-            st.lists(rationals, min_size=rc[1], max_size=rc[1]),
-            min_size=rc[0],
-            max_size=rc[0],
-        ).map(Mat.from_rows)
-    )
+    return small_rows(rationals, max_dim).map(Mat.from_rows)
 
 
 def test_rank_examples():
@@ -93,3 +102,111 @@ def test_column_space_completion(m):
         e.data[j][0] = Fraction(1)
         cols.append(e)
     assert hstack(cols).rank() == m.rows
+
+
+# ------------------------------------------------------------------ int-first exactness
+
+
+def reference_rref(rows):
+    """Gauss-Jordan elimination with every entry a Fraction, as Mat.rref once did it."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        if r >= len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def reference_kernel(rows):
+    """The canonical rref basis of the null space, one list per basis vector."""
+    red, pivots = reference_rref(rows)
+    cols = len(rows[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def assert_exact(m):
+    assert all(type(x) in (int, Fraction) for row in m.data for x in row)
+
+
+def test_div_is_int_first():
+    assert type(_div(4, 2)) is int and _div(4, 2) == 2
+    assert type(_div(6, -3)) is int and _div(6, -3) == -2
+    assert _div(1, 2) == Fraction(1, 2) and type(_div(1, 2)) is Fraction
+    assert _div(-3, 2) == Fraction(-3, 2)
+    assert _div(Fraction(4), 2) == 2 and type(_div(Fraction(4), 2)) is int
+    assert _div(3, Fraction(3, 2)) == 2 and type(_div(3, Fraction(3, 2))) is int
+    assert _div(Fraction(1, 2), 3) == Fraction(1, 6)
+
+
+@given(small_rows(mixed_entries), mixed_entries)
+@settings(max_examples=200)
+def test_entries_stay_exact_and_match_fraction_reference(rows, c):
+    raw = Mat([row[:] for row in rows])
+    m = Mat.from_rows(rows)
+    assert_exact(m)
+    assert m == raw
+    assert all(type(x) is int for row in m.data for x in row if x.denominator == 1)
+    ref_red, ref_pivots = reference_rref(rows)
+    for a in (raw, m):
+        red, pivots = a.rref()
+        assert_exact(red)
+        assert (red.data, pivots) == (ref_red, ref_pivots)
+        assert a.rank() == len(ref_pivots)
+        k = a.kernel_basis()
+        assert_exact(k)
+        assert k.transpose().data == reference_kernel(rows)
+    scaled = raw.scale(c)
+    assert_exact(scaled)
+    assert scaled.data == [[Fraction(c) * x for x in row] for row in rows]
+    sq = raw * raw.transpose()
+    assert_exact(sq)
+    assert sq.data == [[sum((Fraction(x) * y for x, y in zip(ra, rb)), Fraction(0)) for rb in rows] for ra in rows]
+    rhs = raw * Mat.from_rows([[j - 1] for j in range(raw.cols)])
+    sol = raw.solve(rhs)
+    assert_exact(sol)
+    assert raw * sol == rhs
+    inv = sq.inverse()
+    assert (inv is None) == (len(reference_rref(sq.data)[1]) < sq.rows)
+    if inv is not None:
+        assert_exact(inv)
+        assert sq * inv == Mat.identity(sq.rows)
+
+
+def test_every_division_goes_through_div():
+    # int / int is a float in Python, so the package divides only inside linalg._div
+    def divisions(node):
+        return [n for n in ast.walk(node) if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)]
+
+    paths = sorted(Path(linalg.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    outside, inside = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        allowed = [
+            n for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and (path.name, f.name) == ("linalg.py", "_div")
+            for n in divisions(f)
+        ]
+        inside += allowed
+        outside += [f"{path.name}:{n.lineno}" for n in divisions(tree) if n not in allowed]
+    assert inside and outside == []

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hinak.algebras import AlgebraSpec, build
@@ -5,6 +7,8 @@ from hinak.cli import main
 from hinak.combinat import box_interval, interlaces, loewy_len
 from hinak.reps import (
     CapExceeded,
+    _normalize_hom,
+    _proportionality,
     alg_mat_to_hom,
     cokernel_of_hom,
     direct_sum_modules,
@@ -402,6 +406,21 @@ def test_endo_algebra_supports_homology():
     assert gldim(end, 4) <= 3
     value, _ = domdim(end, 3)
     assert value >= 3
+
+
+def test_structure_constants_stay_exact():
+    # a / b on two ints is a float; the structure-constant check must see Fraction(1, 2), not 0.5
+    alg = build(AlgebraSpec.linear_an(4, 2))
+    lams = alg.summands()
+    homs = (hom_space(interval_module(alg, a), interval_module(alg, b)) for a in lams for b in lams if a != b)
+    h = next(hs[0] for hs in homs if hs)
+    assert all(type(x) is int for x in h.flatten())
+    half = _proportionality(h, h.scale(2))
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert type(_proportionality(h.scale(2), h)) is int
+    flat = _normalize_hom(h.scale(3)).flatten()
+    assert next(x for x in flat if x != 0) == 1
+    assert all(type(x) in (int, Fraction) for x in flat)
 
 
 # ------------------------------------------------------------------ envelopes
