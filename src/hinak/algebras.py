@@ -284,6 +284,10 @@ class BasisAlgebra:
         self._factor_cache: dict[BasisElt, list[BasisElt]] = {}
         self._proj_cache: dict = {}  # vertex -> indecomposable projective module
         self._inj_cache: dict = {}  # vertex -> indecomposable injective module
+        # hom_basis and compose memos of subclasses that compute them; sound because
+        # an algebra is never mutated after construction
+        self._hom_memo: dict[tuple[IntTuple, IntTuple], tuple[BasisElt, ...]] = {}
+        self._compose_memo: dict[tuple[IntTuple, IntTuple, int], BasisElt | None] = {}
         self._op: BasisAlgebra | None = None
 
     def require_vertex(self, v: Sequence[int]) -> IntTuple:
@@ -409,27 +413,30 @@ class PresentedAlgebra(BasisAlgebra):
 
     def hom_basis(self, v: Sequence[int], w: Sequence[int]) -> tuple[BasisElt, ...]:
         v, w = tuple(v), tuple(w)
-        if v not in self._vset or w not in self._vset:
-            return ()
+        out = self._hom_memo.get((v, w))
+        if out is None:
+            if v not in self._vset or w not in self._vset:
+                return ()
+            out = self._hom_memo[v, w] = self._hom_basis(v, w)
+        return out
+
+    def _hom_basis(self, v: IntTuple, w: IntTuple) -> tuple[BasisElt, ...]:
         n = self.orbit_modulus
         if n is None:
             return (BasisElt(v, w, 0),) if self._ambient_hom(v, w) else ()
         lo = -((w[0] - v[0]) // n)  # ceil((v0 - w0)/n)
         hi = (v[0] + self._band - 1 - w[-1]) // n
-        out = []
-        for k in range(lo, hi + 1):
-            if self._ambient_hom(v, self.shifted(w, k)):
-                out.append(BasisElt(v, w, k))
-        return tuple(out)
+        return tuple(BasisElt(v, w, k) for k in range(lo, hi + 1) if self._ambient_hom(v, self.shifted(w, k)))
 
     def compose(self, f: BasisElt, g: BasisElt) -> BasisElt | None:
         """Composite of f: a -> b followed by g: b -> c, or None when zero."""
         if f.dst != g.src:
             raise ValueError(f"non-composable pair {f} , {g}")
-        k = f.shift + g.shift
-        if self._ambient_hom(f.src, self.shifted(g.dst, k)):
-            return BasisElt(f.src, g.dst, k)
-        return None
+        key = (f.src, g.dst, f.shift + g.shift)
+        memo = self._compose_memo
+        if key not in memo:
+            memo[key] = BasisElt(*key) if self._ambient_hom(f.src, self.shifted(g.dst, key[2])) else None
+        return memo[key]
 
     def path_length(self, b: BasisElt) -> int:
         u = self.shifted(b.dst, b.shift)

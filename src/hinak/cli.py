@@ -180,7 +180,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    rep, shift = canonical_orbit_rep(args.canonicalize, args.n)
+    rep, shift = canonical_orbit_rep(as_os(args.canonicalize), args.n)
     sys.stdout.write(f"{','.join(map(str, rep))} {shift}\n")
     return 0
 

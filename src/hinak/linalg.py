@@ -2,7 +2,8 @@
 
 Entries are ``int | Fraction``: ints until a division, which always goes through
 :func:`_div`, is inexact.  No floating point is used anywhere.  Matrices stay
-small (a few hundred rows), so plain Gaussian elimination is enough.
+small (a few hundred rows), so plain Gaussian elimination is enough.  Every
+construction checks that the data has the stated shape.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class Mat:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(r) != cols for r in data):
+        if len(data) != rows or (rows and set(map(len, data)) != {cols}):
             raise ValueError("inconsistent matrix data")
         self.rows = rows
         self.cols = cols

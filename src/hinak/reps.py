@@ -930,17 +930,26 @@ class DerivedAlgebra(BasisAlgebra):
         return f"DerivedAlgebra({len(self.vertices)} summands)"
 
 
+def _entry_pairs(h: ModuleHom, rep: ModuleHom):
+    """The entries of two parallel homs side by side, in vertex order; a missing block reads as zeros."""
+    zeros = itertools.repeat(itertools.repeat(0))
+    for v in h.src.alg.vertices:
+        a, b = h.mats.get(v), rep.mats.get(v)
+        if a is not None or b is not None:
+            for row_a, row_b in zip(zeros if a is None else a.data, zeros if b is None else b.data):
+                yield from zip(row_a, row_b)
+
+
 def _normalize_hom(h: ModuleHom) -> ModuleHom:
-    for x in h.flatten():
+    for x, _ in _entry_pairs(h, h):
         if x != 0:
             return h.scale(_div(1, x))
     raise ValueError("zero hom cannot be normalized")
 
 
 def _proportionality(h: ModuleHom, rep: ModuleHom) -> int | Fraction:
-    flat_h, flat_rep = h.flatten(), rep.flatten()
     coeff = None
-    for a, b in zip(flat_h, flat_rep):
+    for a, b in _entry_pairs(h, rep):
         if b == 0:
             if a != 0:
                 raise StructureConstantError("composite not proportional to the basis hom")

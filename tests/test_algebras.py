@@ -6,6 +6,7 @@ import pytest
 
 from hinak.algebras import (
     AlgebraSpec,
+    BasisElt,
     QArrow,
     QuiverWithRelations,
     build,
@@ -136,6 +137,86 @@ def test_compose_examples():
     ident = k.identity((0, 1))
     assert k.compose(ident, f) == f
     assert k.compose(f, k.identity((1, 1))) == f
+
+
+# one spec per golden family
+MEMO_SPECS = [
+    AlgebraSpec.linear_an(4, 2),
+    AlgebraSpec.kupisch_a((1, 2, 2, 3), 2),
+    AlgebraSpec.window_spec(0, 3, 2),
+    AlgebraSpec.zl_window(3, 0, 4, 2),
+    AlgebraSpec.selfinj_atilde(3, 3, 2),
+    AlgebraSpec.atilde_kupisch((3, 3, 2), 2),
+    AlgebraSpec.tube_trunc(2, 2, 4),
+]
+
+
+def _direct_hom_basis(alg, v, w):
+    # no memo: every shift of a wide window whose shifted target passes the box test
+    shifts = range(-12, 13) if alg.orbit_modulus else (0,)
+    return tuple(BasisElt(v, w, k) for k in shifts if alg._ambient_hom(v, alg.shifted(w, k)))
+
+
+def _direct_compose(alg, f, g):
+    k = f.shift + g.shift
+    return BasisElt(f.src, g.dst, k) if alg._ambient_hom(f.src, alg.shifted(g.dst, k)) else None
+
+
+def _check_memo_against_direct(alg, hom_ref, compose_ref):
+    pairs = [(v, w) for v in alg.vertices for w in alg.vertices]
+    for _ in ("cold", "warm"):
+        assert all(alg.hom_basis(v, w) == hom_ref(v, w) for v, w in pairs)
+    basis = [b for v, w in pairs for b in hom_ref(v, w)]
+    by_src = {}
+    for b in basis:
+        by_src.setdefault(b.src, []).append(b)
+    composable = [(f, g) for f in basis for g in by_src.get(f.dst, ())]
+    for _ in ("cold", "warm"):
+        assert all(alg.compose(f, g) == compose_ref(f, g) for f, g in composable)
+    return basis
+
+
+def test_hom_basis_and_compose_memo_match_direct_computation():
+    multi_shift = False
+    for spec in MEMO_SPECS:
+        alg = build(spec)
+        basis = _check_memo_against_direct(
+            alg, lambda v, w: _direct_hom_basis(alg, v, w), lambda f, g: _direct_compose(alg, f, g)
+        )
+        multi_shift |= any(b.shift for b in basis)
+    assert multi_shift  # the orbit families' shift scan is exercised
+
+    # the opposite of an orbit family reads the base's memo through flipped pairs
+    base = build(AlgebraSpec.selfinj_atilde(3, 3, 2))
+
+    def op_compose(f, g):
+        c = _direct_compose(base, g.flipped(), f.flipped())
+        return None if c is None else c.flipped()
+
+    _check_memo_against_direct(
+        base.opposite(), lambda v, w: tuple(b.flipped() for b in _direct_hom_basis(base, w, v)), op_compose
+    )
+
+
+def test_compose_memo_keeps_the_composability_check():
+    alg = build(AlgebraSpec.linear_an(4, 2))
+    f = alg.identity((0, 0))
+    assert alg.compose(f, alg.hom_basis((0, 0), (0, 2))[0]) is not None  # memoizes ((0,0), (0,2), 0)
+    g = alg.hom_basis((0, 1), (0, 2))[0]  # same memo key, but g starts at (0,1)
+    with pytest.raises(ValueError, match="non-composable"):
+        alg.compose(f, g)
+
+
+def test_algebras_share_no_memo_entries():
+    an = build(AlgebraSpec.linear_an(4, 2))
+    kup = build(AlgebraSpec.kupisch_a((1, 2, 2, 3), 2))
+    f, g = an.hom_basis((0, 1), (1, 1))[0], an.hom_basis((1, 1), (1, 2))[0]
+    assert an.compose(f, g) is not None  # warm an(4,2) first
+    assert an.hom_basis((0, 1), (1, 2)) and kup.hom_basis((0, 1), (1, 2)) == ()
+    assert kup.compose(f, g) is None  # (0,2) is missing from kupisch-a 1,2,2,3
+    twin = build(AlgebraSpec.linear_an(4, 2))
+    assert not twin._hom_memo and not twin._compose_memo
+    assert an._hom_memo is not twin._hom_memo and an._compose_memo is not twin._compose_memo
 
 
 def test_composition_associative_on_small_algebras():

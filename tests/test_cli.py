@@ -185,6 +185,11 @@ def test_orbit_bad_tuple_is_usage_error():
     assert code == 2
 
 
+def test_orbit_unordered_tuple_is_usage_error():
+    code, out, err = run_cli("orbit", "--canonicalize", "2,1", "--n", "3")
+    assert code == 2 and out == "" and "not weakly increasing" in err
+
+
 def test_ext_on_tube_with_stabilization():
     code, out, _ = run_cli(
         "ext",

@@ -2,6 +2,7 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,14 @@ def test_inverse_roundtrip():
     assert inv is not None
     assert m * inv == Mat.identity(2)
     assert Mat.from_rows([[1, 2], [2, 4]]).inverse() is None
+
+
+def test_construction_checks_shape():
+    for data, rows, cols in (([[1, 2], [3]], 2, 2), ([[1]], 2, 1), ([[1, 2]], 1, 1), ([], 1, 0)):
+        with pytest.raises(ValueError, match="inconsistent"):
+            Mat(data, rows, cols)
+    assert (Mat([[], [], []], 3, 0).rows, Mat([[], [], []], 3, 0).cols) == (3, 0)
+    assert (Mat([], 0, 5).rows, Mat([], 0, 5).cols) == (0, 5)
 
 
 def test_stacking():

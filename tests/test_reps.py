@@ -7,6 +7,8 @@ from hinak.cli import main
 from hinak.combinat import box_interval, interlaces, loewy_len
 from hinak.reps import (
     CapExceeded,
+    ModuleHom,
+    StructureConstantError,
     _normalize_hom,
     _proportionality,
     alg_mat_to_hom,
@@ -421,6 +423,83 @@ def test_structure_constants_stay_exact():
     flat = _normalize_hom(h.scale(3)).flatten()
     assert next(x for x in flat if x != 0) == 1
     assert all(type(x) in (int, Fraction) for x in flat)
+
+
+
+def _flat_normalize_hom(h):
+    # reference: the flatten-based normalization the block walk replaced
+    for x in h.flatten():
+        if x != 0:
+            return h.scale(1 / Fraction(x))
+    raise ValueError("zero hom cannot be normalized")
+
+
+def _flat_proportionality(h, rep):
+    coeff = None
+    for a, b in zip(h.flatten(), rep.flatten()):
+        if b == 0:
+            if a != 0:
+                raise StructureConstantError("composite not proportional to the basis hom")
+            continue
+        c = Fraction(a) / b
+        if coeff is None:
+            coeff = c
+        elif coeff != c:
+            raise StructureConstantError("composite not proportional to the basis hom")
+    return coeff if coeff is not None else 0
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (ValueError, StructureConstantError) as exc:
+        return type(exc), str(exc)
+    return out.flatten() if isinstance(out, ModuleHom) else out
+
+
+def _agree(h, rep=None):
+    if rep is None:
+        assert _outcome(_normalize_hom, h) == _outcome(_flat_normalize_hom, h)
+    else:
+        assert _outcome(_proportionality, h, rep) == _outcome(_flat_proportionality, h, rep)
+
+
+def test_structure_constants_match_flatten_reference():
+    checked = 0
+    for alg in (build(AlgebraSpec.linear_an(4, 2)), K1223()):
+        end = endo_algebra(alg)
+        mods = end.modules
+        for h in (h for a in end.vertices for b in end.vertices for h in hom_space(mods[a], mods[b])):
+            _agree(h)
+            _agree(h.scale(3))
+        for (a, b), f in end._reps.items():
+            for c in end.vertices:
+                g, rep = end._reps.get((b, c)), end._reps.get((a, c))
+                if g is None or rep is None:
+                    continue
+                composite = f.then(g)
+                _agree(composite, rep)
+                _agree(rep, composite)
+                _agree(composite.scale(Fraction(-2, 3)), rep)
+                checked += 1
+    assert checked > 100
+
+    # crafted: a hom with non-zero blocks at two vertices, blocks dropped on one side
+    alg = build(AlgebraSpec.linear_an(4, 2))
+    lams = alg.summands()
+    homs = (h for a in lams for b in lams for h in hom_space(interval_module(alg, a), interval_module(alg, b)))
+    h = next(h for h in homs if sum(not m.is_zero() for m in h.mats.values()) >= 2)
+    first = next(v for v in alg.vertices if v in h.mats and not h.mats[v].is_zero())
+    fewer = ModuleHom(h.src, h.dst, {v: m for v, m in h.mats.items() if v != first})
+    for a, b, err in ((h, fewer, True), (fewer, h, True), (fewer, fewer.scale(2), False)):
+        _agree(a, b)
+        assert isinstance(_outcome(_proportionality, a, b), tuple) == err
+    assert _proportionality(ModuleHom(h.src, h.dst, {}), h) == 0
+    # normalization reads the blocks in vertex order, not in the order they were stored
+    shuffled = ModuleHom(h.src, h.dst, {v: h.mats[v].scale(2 if v == first else 5) for v in reversed(h.mats)})
+    _agree(shuffled)
+    _agree(fewer)
+    _agree(ModuleHom(h.src, h.dst, {}))
 
 
 # ------------------------------------------------------------------ envelopes
