@@ -139,8 +139,7 @@ def check_hom_ext_formulas(spec: AlgebraSpec) -> CheckReport:
     d = alg.d
     lams = alg.summands()
     mods = {l: interval_module(alg, l) for l in lams}
-    cap = max(default_cap(alg), d + 2)
-    resolutions = {l: min_proj_resolution(mods[l], cap) for l in lams}
+    resolutions = {l: min_proj_resolution(mods[l], d + 1) for l in lams}
     report = CheckReport("hom-ext", spec.describe())
 
     hom_claim = report.claim("hom.dim_equals_interlacing_count")
@@ -351,8 +350,7 @@ def check_cluster_tilting(spec: AlgebraSpec) -> CheckReport:
         gen.record(find_summand_iso(projective_module(alg, v)) is not None, vertex=v, side="projective")
         gen.record(find_summand_iso(injective_module(alg, v)) is not None, vertex=v, side="injective")
 
-    cap = max(default_cap(alg), 2 * d)
-    resolutions = {l: min_proj_resolution(mods[l], cap) for l in lams}
+    resolutions = {l: min_proj_resolution(mods[l], 2 * d) for l in lams}
     rigid = report.claim("ct.rigid_below_top_degree")
     for lam in lams:
         for mu in lams:
@@ -462,10 +460,8 @@ def check_homological_embedding(
             inner_mods[l].total_dim == outer_mods[l].total_dim, lam=l
         )
 
-    cap_in = max(default_cap(inner), degree_bound + 2)
-    cap_out = max(default_cap(outer), degree_bound + 2)
-    res_in = {l: min_proj_resolution(inner_mods[l], cap_in) for l in lams}
-    res_out = {l: min_proj_resolution(outer_mods[l], cap_out) for l in lams}
+    res_in = {l: min_proj_resolution(inner_mods[l], degree_bound + 1) for l in lams}
+    res_out = {l: min_proj_resolution(outer_mods[l], degree_bound + 1) for l in lams}
     agree = report.claim("embedding.ext_spaces_agree")
     for lam in lams:
         for mu in lams:

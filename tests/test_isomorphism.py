@@ -1,0 +1,114 @@
+"""Isomorphism by one exact certificate.
+
+``modules_isomorphic`` checks one seeded combination of the Hom basis for
+invertibility.  ``scan_isomorphic`` below is the search it replaced: each
+basis hom, then every combination with coefficients in -2..2 of up to four
+basis homs.  Wherever the scan decided, the certificate must give the same
+verdict.
+"""
+
+import ast
+import itertools
+import random
+from pathlib import Path
+
+import pytest
+
+import hinak
+from hinak.algebras import AlgebraSpec, build
+from hinak.reps import direct_sum_modules, hom_space, interval_module, modules_isomorphic, tau_d
+from test_sparse_homs import conjugate
+
+
+def scan_isomorphic(M, N):
+    if any(M.dim(v) != N.dim(v) for v in M.alg.vertices):
+        return False
+    if M.is_zero():
+        return True
+    homs = hom_space(M, N)
+    if any(h.is_iso() for h in homs):
+        return True
+    if 2 <= len(homs) <= 4:
+        for coeffs in itertools.product(range(-2, 3), repeat=len(homs)):
+            combo = homs[0].scale(coeffs[0])
+            for c, h in zip(coeffs[1:], homs[1:]):
+                combo = combo.add(h.scale(c))
+            if combo.is_iso():
+                return True
+    return None
+
+
+def test_triple_sum_with_nine_dimensional_hom_is_isomorphic():
+    alg = build(AlgebraSpec.linear_an(4, 2))
+    M = interval_module(alg, (0, 1, 2))
+    MMM = direct_sum_modules([M, M, M])
+    assert len(hom_space(MMM, MMM)) == 9
+    assert scan_isomorphic(MMM, MMM) is None
+    assert modules_isomorphic(MMM, MMM) is True
+
+
+def test_conjugated_sum_in_another_order_is_isomorphic():
+    alg = build(AlgebraSpec.linear_an(4, 2))
+    lams = [(0, 1, 2), (0, 1, 2), (1, 2, 3)]
+    C = conjugate(random.Random(3), direct_sum_modules([interval_module(alg, lam) for lam in lams]))
+    T = direct_sum_modules([interval_module(alg, lam) for lam in lams[::-1]])
+    assert len(hom_space(C, T)) >= 5
+    assert scan_isomorphic(C, T) is None
+    assert modules_isomorphic(C, T) is True
+    assert modules_isomorphic(T, C) is True
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AlgebraSpec.selfinj_atilde(3, 3, 2),
+        AlgebraSpec.tube_trunc(2, 2, 4),
+        AlgebraSpec.atilde_kupisch((3, 3, 2), 2),
+        AlgebraSpec.kupisch_a((1, 2, 2, 3), 2),
+    ],
+    ids=lambda s: s.family,
+)
+def test_certificate_agrees_with_the_scan_wherever_the_scan_decides(spec):
+    alg = build(spec)
+    summands = [interval_module(alg, lam) for lam in alg.summands()]
+    mods = summands + [tau_d(M, alg.d) for M in summands]
+    mods += [direct_sum_modules(pair) for pair in itertools.combinations(summands, 2)]
+    seen = set()
+    for X in mods:
+        for Y in mods:
+            old, new = scan_isomorphic(X, Y), modules_isomorphic(X, Y)
+            assert old is None or new is old
+            seen.add(new)
+    assert seen == {True, False, None}
+
+
+def test_randomness_is_seeded_inside_each_call():
+    # reports must be byte-identical, so the package draws only from a generator
+    # it seeds with a literal inside the function that uses it
+    def seeded_generator(call):
+        return (
+            isinstance(call, ast.Call)
+            and ast.unparse(call.func) == "random.Random"
+            and len(call.args) == 1
+            and not call.keywords
+            and isinstance(call.args[0], ast.Constant)
+            and type(call.args[0].value) is int
+        )
+
+    outside, inside = [], []
+    for path in sorted(Path(hinak.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        seeded = [
+            n.func for f in ast.walk(tree)
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for n in ast.walk(f) if seeded_generator(n)
+        ]
+        inside += seeded
+        for n in ast.walk(tree):
+            renamed = (isinstance(n, ast.ImportFrom) and n.module == "random") or (
+                isinstance(n, ast.Import) and any(a.name == "random" and a.asname for a in n.names)
+            )
+            unseeded = isinstance(n, ast.Attribute) and ast.unparse(n.value) == "random" and n not in seeded
+            if renamed or unseeded:
+                outside.append(f"{path.name}:{n.lineno}")
+    assert inside and outside == []

@@ -1,7 +1,8 @@
 """Kernels, cokernels and radicals by their universal properties.
 
-``cokernel_of_hom`` and the Nakayama image ``D Hom(-, A)`` of a map between
-projectives are built as duals of the projective-side constructions.  The
+``cokernel_of_hom``, the Nakayama image ``D Hom(-, A)`` of a map between
+projectives, ``tau_d_inverse`` and ``is_injective`` are built as duals of
+the projective-side constructions.  The
 direct versions they replaced are kept below as the reference, and the two
 must agree entry for entry.  The predicates on module homomorphisms here are
 the test suite's own, computed straight from the blocks.
@@ -21,11 +22,13 @@ from hinak.reps import (
     alg_mat_to_hom,
     cokernel_of_hom,
     direct_sum_modules,
+    dualize,
     endo_algebra,
     hom_space,
     injective_envelope,
     injective_module,
     interval_module,
+    is_injective,
     kernel_of_hom,
     min_proj_resolution,
     projective_cover,
@@ -33,6 +36,10 @@ from hinak.reps import (
     radical_module,
     radical_spanning_columns,
     simple_module,
+    syzygy_module,
+    tau_d_inverse,
+    transpose_module,
+    zero_module,
 )
 from test_sparse_homs import conjugate, same_hom
 
@@ -182,3 +189,40 @@ def test_subquotients_over_an_endomorphism_algebra():
     assert res.diffs
     for am in res.diffs:
         assert same_hom(nakayama_hom(am), direct_nakayama_hom(am))
+
+
+GOLDEN_SPECS = [
+    AlgebraSpec.linear_an(4, 2),
+    AlgebraSpec.kupisch_a((1, 2, 2, 3), 2),
+    AlgebraSpec.window_spec(0, 3, 2),
+    AlgebraSpec.zl_window(3, 0, 4, 2),
+    AlgebraSpec.selfinj_atilde(3, 3, 2),
+    AlgebraSpec.atilde_kupisch((3, 3, 2), 2),
+    AlgebraSpec.tube_trunc(2, 2, 4),
+]
+
+
+def direct_tau_d_inverse(M, d):
+    """Tr of the (d-1)-fold syzygy of DM, without the round trip through tau_d."""
+    X = dualize(M)
+    for _ in range(d - 1):
+        X = syzygy_module(X)
+        if X.is_zero():
+            return zero_module(M.alg)
+    return transpose_module(X)
+
+
+def envelope_is_injective(M):
+    return M.is_zero() or injective_envelope(M)[0].module.total_dim == M.total_dim
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.family)
+def test_inverse_translate_and_injectivity_equal_the_direct_versions(spec):
+    alg = build(spec)
+    verdicts = set()
+    for lam in alg.summands():
+        M = interval_module(alg, lam)
+        assert same_module(tau_d_inverse(M, alg.d), direct_tau_d_inverse(M, alg.d))
+        verdicts.add(is_injective(M))
+        assert is_injective(M) == envelope_is_injective(M)
+    assert verdicts == {True, False}
