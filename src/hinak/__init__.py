@@ -53,7 +53,6 @@ from .reps import (
     min_inj_coresolution,
     min_proj_resolution,
     modules_isomorphic,
-    orbit_ext_dim,
     projective_cover,
     projective_module,
     simple_module,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .algebras import FAMILIES, AlgebraSpec, build, export_dot, export_json, export_qpa
 from .checks import run_all, run_suite
@@ -18,13 +19,12 @@ from .reps import (
     CapExceeded,
     default_cap,
     ext_dim,
+    find_isomorphic,
     interval_module,
     is_injective,
     is_projective,
     min_proj_resolution,
-    modules_isomorphic,
     hom_space,
-    orbit_ext_dim,
     tau_d,
     tau_d_inverse,
 )
@@ -80,9 +80,9 @@ def _summand(alg, t: tuple[int, ...]) -> tuple[int, ...]:
 def _identify_interval(alg, M) -> str:
     if M.is_zero():
         return "0"
-    for lam in alg.summands():
-        if modules_isomorphic(M, interval_module(alg, lam)) is True:
-            return ",".join(map(str, lam))
+    found = find_isomorphic(M, ((lam, interval_module(alg, lam)) for lam in alg.summands()))
+    if found is not None:
+        return ",".join(map(str, found))
     raise CapExceeded("module is not isomorphic to a distinguished summand")
 
 
@@ -128,15 +128,14 @@ def cmd_ext(args) -> int:
     spec = _spec_from_args(args)
     alg = build(spec)
     lam, mu = _summand(alg, args.src), _summand(alg, args.dst)
-    if spec.row.truncated:
-        val, stable = orbit_ext_dim(spec, lam, mu, args.degree)
-        sys.stdout.write(f"{val}\n")
-        if not stable:
-            sys.stderr.write("extension dimension did not stabilize across truncations\n")
-            return CAP_ERROR
-        return 0
     val = ext_dim(interval_module(alg, lam), interval_module(alg, mu), args.degree)
     sys.stdout.write(f"{val}\n")
+    if spec.row.truncated:
+        # a truncated value stands only if it survives d + 1 more Loewy layers
+        up = build(replace(spec, bound=spec.bound + spec.d + 1))
+        if ext_dim(interval_module(up, lam), interval_module(up, mu), args.degree) != val:
+            sys.stderr.write("extension dimension did not stabilize across truncations\n")
+            return CAP_ERROR
     return 0
 
 

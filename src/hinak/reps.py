@@ -12,10 +12,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .algebras import AlgebraSpec, Arrow, BasisAlgebra, BasisElt, CapExceeded, build, factor_into_arrows
-from .combinat import IntTuple, loewy_len
+from .algebras import Arrow, BasisAlgebra, BasisElt, CapExceeded, factor_into_arrows
+from .combinat import IntTuple
 from .linalg import Mat, _div, column_space_completion, hstack
 
 
@@ -729,19 +729,12 @@ def _transpose_alg_mat(am: AlgMat) -> AlgMat:
     return AlgMat(ProjSum(op, am.dst.summands), ProjSum(op, am.src.summands), entries)
 
 
-def transpose_module(M: MatrixModule) -> MatrixModule:
-    """Auslander-Bridger transpose, a module over the opposite algebra."""
-    if M.is_zero():
-        return zero_module(M.alg.opposite())
-    res = min_proj_resolution(M, 1)
-    if len(res.terms) == 1:
-        return zero_module(M.alg.opposite())
-    C, _ = cokernel_of_hom(alg_mat_to_hom(_transpose_alg_mat(res.diffs[0])))  # coker Hom(d_1, A)
-    return C
-
-
 def tau_d(M: MatrixModule, d: int) -> MatrixModule:
-    """Higher translate: the classical translate D Tr of the (d-1)-fold syzygy; zero on projectives."""
+    """Higher translate: the classical translate of the (d-1)-fold syzygy; zero on projectives.
+
+    The classical translate of X is D Tr X = ker nu(d_1) for a minimal
+    presentation d_1 of X, where nu = D Hom(-, A) is the Nakayama functor.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     X = M
@@ -749,7 +742,10 @@ def tau_d(M: MatrixModule, d: int) -> MatrixModule:
         X = syzygy_module(X)
         if X.is_zero():
             return zero_module(M.alg)
-    return dualize(transpose_module(X))
+    res = min_proj_resolution(X, 1)
+    if not res.diffs:
+        return zero_module(M.alg)
+    return kernel_of_hom(alg_mat_to_hom(_transpose_alg_mat(res.diffs[0])).dual())[0]
 
 
 def tau_d_inverse(M: MatrixModule, d: int) -> MatrixModule:
@@ -785,39 +781,18 @@ def modules_isomorphic(M: MatrixModule, N: MatrixModule) -> bool | None:
     return True if combo.is_iso() else None
 
 
+def find_isomorphic(M: MatrixModule, candidates: Iterable[tuple[object, MatrixModule]]):
+    """The first label of (label, module) candidates whose module is certified isomorphic to M, else None."""
+    for label, N in candidates:
+        if N.dims == M.dims and modules_isomorphic(M, N) is True:
+            return label
+    return None
+
+
 def hom_span_rank(maps: Sequence[ModuleHom]) -> int:
     """Dimension of the span of homomorphisms, such as those factoring through a cover or envelope."""
     rows = [v for v in (h.flatten() for h in maps) if any(x != 0 for x in v)]
     return Mat.from_rows(rows).rank() if rows else 0
-
-
-# ---------------------------------------------------------------------- orbit families
-
-
-def orbit_ext_dim(
-    spec: AlgebraSpec, lam: Sequence[int], mu: Sequence[int], degree: int
-) -> tuple[int, bool]:
-    """Ext between pushed-down intervals; tube truncations are re-checked one level up.
-
-    Returns (dimension, stabilized).  For the finite orbit families the
-    computation is direct and always flagged stable.  For truncated tubes the
-    value is recomputed at truncation level + d + 1 and flagged accordingly.
-    """
-    spec.validate()
-    if not spec.is_orbit:
-        raise ValueError("orbit_ext_dim needs an orbit family")
-    lam, mu = tuple(lam), tuple(mu)
-    if not spec.row.truncated:
-        alg = build(spec)
-        val = ext_dim(interval_module(alg, lam), interval_module(alg, mu), degree)
-        return val, True
-    if max(loewy_len(lam), loewy_len(mu)) > spec.bound:
-        raise ValueError("modules exceed the truncation level")
-    vals = []
-    for level in (spec.bound, spec.bound + spec.d + 1):
-        alg = build(AlgebraSpec.tube_trunc(spec.n, spec.d, level))
-        vals.append(ext_dim(interval_module(alg, lam), interval_module(alg, mu), degree))
-    return vals[0], vals[0] == vals[1]
 
 
 # ---------------------------------------------------------------------- derived endomorphism algebras
@@ -878,10 +853,6 @@ class DerivedAlgebra(BasisAlgebra):
     def compose(self, f: BasisElt, g: BasisElt) -> BasisElt | None:
         if f.dst != g.src:
             raise ValueError("non-composable pair")
-        if f.src == f.dst:
-            return g
-        if g.src == g.dst:
-            return f
         return self._comp.get((f.src, f.dst, g.dst))
 
     def _arrow_list(self) -> tuple[Arrow, ...]:
@@ -936,8 +907,6 @@ def _proportionality(h: ModuleHom, rep: ModuleHom) -> int | Fraction:
     return coeff if coeff is not None else 0
 
 
-def endo_algebra(alg, lams: Sequence[IntTuple] | None = None) -> DerivedAlgebra:
+def endo_algebra(alg) -> DerivedAlgebra:
     """Endomorphism category of the distinguished module, from brute-force Hom spaces."""
-    if lams is None:
-        lams = alg.summands()
-    return DerivedAlgebra(alg, lams)
+    return DerivedAlgebra(alg, alg.summands())

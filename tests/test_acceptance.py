@@ -159,7 +159,7 @@ def test_criterion_09_selfinjectivity_and_periodicity():
     spec = AlgebraSpec.selfinj_atilde(3, 3, 2)
     ok = check_selfinjective(spec).passed
     ok = ok and check_kupisch_lengths(spec).passed
-    report = check_orbit_periodicity(spec, exponent=6)
+    report = check_orbit_periodicity(spec)
     ok = ok and report.passed
     _verdict("9 selfinjectivity-and-periodicity", ok)
 

@@ -118,7 +118,7 @@ def test_run_all_on_small_window():
 def test_tube_periodicity_quick():
     from hinak.checks import check_orbit_periodicity
 
-    report = check_orbit_periodicity(AlgebraSpec.tube_trunc(2, 2, 3), exponent=4)
+    report = check_orbit_periodicity(AlgebraSpec.tube_trunc(2, 2, 3))
     assert report.passed, [i.counterexample for i in report.items if not i.ok]
 
 

@@ -2,7 +2,9 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+from hinak.algebras import AlgebraSpec, build
 from hinak.cli import main
+from hinak.reps import ext_dim, interval_module
 
 
 def run_cli(*argv):
@@ -198,6 +200,44 @@ def test_ext_on_tube_with_stabilization():
     )
     assert code == 0
     assert out.strip().isdigit()
+
+
+def test_ext_exit_codes_on_orbit_families():
+    code, out, err = run_cli(
+        "ext",
+        "--family", "tube-trunc", "--n", "2", "--d", "2", "--trunc", "4",
+        "--from", "0,0,0", "--to", "0,3,3", "--degree", "2",
+    )
+    assert (code, out) == (3, "0\n") and "did not stabilize" in err
+    code, out, err = run_cli(
+        "ext",
+        "--family", "selfinj-atilde", "--n", "3", "--l", "3", "--d", "2",
+        "--from", "0,1,1", "--to", "0,1,1", "--degree", "2",
+    )
+    assert code == 0 and out.strip().isdigit() and err == ""
+
+
+def two_level_ext(spec, lam, mu, degree):
+    """Ext on a fresh build at the truncation level and at d + 1 levels up, and whether they agree."""
+    vals = []
+    for level in (spec.bound, spec.bound + spec.d + 1):
+        alg = build(AlgebraSpec.tube_trunc(spec.n, spec.d, level))
+        vals.append(ext_dim(interval_module(alg, lam), interval_module(alg, mu), degree))
+    return vals[0], vals[0] == vals[1]
+
+
+def test_tube_ext_matches_the_two_level_reference():
+    spec = AlgebraSpec.tube_trunc(2, 2, 4)
+    lams = build(spec).summands()
+    flags = ["ext", "--family", "tube-trunc", "--n", "2", "--d", "2", "--trunc", "4", "--degree", "2"]
+    stabilized = set()
+    for lam in lams[:5]:
+        for mu in lams:
+            val, stable = two_level_ext(spec, lam, mu, 2)
+            code, out, _ = run_cli(*flags, "--from", ",".join(map(str, lam)), "--to", ",".join(map(str, mu)))
+            assert (code, out) == (0 if stable else 3, f"{val}\n")
+            stabilized.add(stable)
+    assert stabilized == {True, False}
 
 
 def test_hom_on_orbit_family():

@@ -16,7 +16,7 @@ import pytest
 
 import hinak
 from hinak.algebras import AlgebraSpec, build
-from hinak.reps import direct_sum_modules, hom_space, interval_module, modules_isomorphic, tau_d
+from hinak.reps import direct_sum_modules, find_isomorphic, hom_space, interval_module, modules_isomorphic, tau_d
 from test_sparse_homs import conjugate
 
 
@@ -56,6 +56,16 @@ def test_conjugated_sum_in_another_order_is_isomorphic():
     assert scan_isomorphic(C, T) is None
     assert modules_isomorphic(C, T) is True
     assert modules_isomorphic(T, C) is True
+
+
+def test_find_isomorphic_returns_the_first_certified_label():
+    alg = build(AlgebraSpec.linear_an(4, 2))
+    lams = alg.summands()
+    M = conjugate(random.Random(5), direct_sum_modules([interval_module(alg, lam) for lam in lams[3:5]]))
+    sums = [(i, direct_sum_modules([interval_module(alg, lam) for lam in lams[i : i + 2]])) for i in range(len(lams) - 1)]
+    assert find_isomorphic(M, sums) == 3
+    assert find_isomorphic(M, sums[:3] + [("copy", M)] + sums[3:]) == "copy"
+    assert find_isomorphic(M, sums[:3] + sums[4:]) is None
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hinak import reps
 from hinak.algebras import AlgebraSpec, build
 from hinak.cli import main
 from hinak.combinat import box_interval, interlaces, loewy_len
@@ -32,7 +35,6 @@ from hinak.reps import (
     min_inj_coresolution,
     min_proj_resolution,
     modules_isomorphic,
-    orbit_ext_dim,
     projective_cover,
     projective_module,
     simple_module,
@@ -373,15 +375,6 @@ def test_orbit_hom_dim():
             assert tube.module_hom_formula(lam, mu) == brute
 
 
-def test_orbit_ext_dim_stabilizes():
-    spec = AlgebraSpec.tube_trunc(3, 2, 4)
-    val, stable = orbit_ext_dim(spec, (0, 1, 2), (0, 1, 1), 2)
-    assert stable
-    s = AlgebraSpec.selfinj_atilde(3, 3, 2)
-    val, stable = orbit_ext_dim(s, (0, 1, 1), (0, 1, 1), 2)
-    assert stable and val >= 0
-
-
 # ------------------------------------------------------------------ derived endomorphism algebra
 
 
@@ -659,3 +652,15 @@ def test_orbit_inverse_translate_roundtrip():
             continue
         assert modules_isomorphic(tau_d_inverse(tau_d(M, 2), 2), M) is True
         assert modules_isomorphic(tau_d(tau_d_inverse(M, 2), 2), M) is True
+
+
+def test_reps_imports_no_spec_policy():
+    # the module layer works on the algebra it is handed; building from a spec belongs to checks and cli
+    names = []
+    for node in ast.walk(ast.parse(Path(reps.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    banned = {"AlgebraSpec", "build", "checks", "cli"}
+    assert names and [n for n in names if banned & set(n.split("."))] == []

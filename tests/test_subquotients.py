@@ -1,8 +1,8 @@
 """Kernels, cokernels and radicals by their universal properties.
 
 ``cokernel_of_hom``, the Nakayama image ``D Hom(-, A)`` of a map between
-projectives, ``tau_d_inverse`` and ``is_injective`` are built as duals of
-the projective-side constructions.  The
+projectives, ``tau_d``, ``tau_d_inverse`` and ``is_injective`` are built as
+duals of the projective-side constructions.  The
 direct versions they replaced are kept below as the reference, and the two
 must agree entry for entry.  The predicates on module homomorphisms here are
 the test suite's own, computed straight from the blocks.
@@ -37,8 +37,8 @@ from hinak.reps import (
     radical_spanning_columns,
     simple_module,
     syzygy_module,
+    tau_d,
     tau_d_inverse,
-    transpose_module,
     zero_module,
 )
 from test_sparse_homs import conjugate, same_hom
@@ -71,7 +71,7 @@ def top_dims(M):
 
 
 def nakayama_hom(am):
-    """D Hom(-, A) of a map between projectives, through the transpose step of ``transpose_module``."""
+    """D Hom(-, A) of a map between projectives, through the transpose step of ``tau_d``."""
     return alg_mat_to_hom(_transpose_alg_mat(am)).dual()
 
 
@@ -202,6 +202,26 @@ GOLDEN_SPECS = [
 ]
 
 
+def transpose(X):
+    """The Auslander-Bridger transpose coker Hom(d_1, A), a module over the opposite algebra."""
+    if X.is_zero():
+        return zero_module(X.alg.opposite())
+    res = min_proj_resolution(X, 1)
+    if len(res.terms) == 1:
+        return zero_module(X.alg.opposite())
+    return cokernel_of_hom(alg_mat_to_hom(_transpose_alg_mat(res.diffs[0])))[0]
+
+
+def direct_tau_d(M, d):
+    """D Tr of the (d-1)-fold syzygy, through the cokernel of Hom(d_1, A) and two duals."""
+    X = M
+    for _ in range(d - 1):
+        X = syzygy_module(X)
+        if X.is_zero():
+            return zero_module(M.alg)
+    return dualize(transpose(X))
+
+
 def direct_tau_d_inverse(M, d):
     """Tr of the (d-1)-fold syzygy of DM, without the round trip through tau_d."""
     X = dualize(M)
@@ -209,7 +229,7 @@ def direct_tau_d_inverse(M, d):
         X = syzygy_module(X)
         if X.is_zero():
             return zero_module(M.alg)
-    return transpose_module(X)
+    return transpose(X)
 
 
 def envelope_is_injective(M):
@@ -226,3 +246,15 @@ def test_inverse_translate_and_injectivity_equal_the_direct_versions(spec):
         verdicts.add(is_injective(M))
         assert is_injective(M) == envelope_is_injective(M)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.family)
+def test_translate_equals_the_dual_of_the_transpose(spec):
+    alg = build(spec)
+    zero = set()
+    for lam in alg.summands():
+        M = interval_module(alg, lam)
+        t = tau_d(M, alg.d)
+        assert same_module(t, direct_tau_d(M, alg.d))
+        zero.add(t.is_zero())
+    assert zero == {True, False}
