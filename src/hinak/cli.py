@@ -9,6 +9,7 @@ Tuple flags are comma-joined entries, e.g. ``--module 1,2,3``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -184,6 +185,7 @@ def cmd_orbit(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hinak", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -845,10 +845,10 @@ class DerivedAlgebra(BasisAlgebra):
                 if coeff != 1:
                     raise StructureConstantError(f"structure constant {coeff} at ({a},{b},{c})")
                 self._comp[(a, b, c)] = BasisElt(a, c, 0)
+        self._hom_memo = {(a, b): (BasisElt(a, b, 0),) for (a, b) in self._reps}
 
     def hom_basis(self, v, w) -> tuple[BasisElt, ...]:
-        v, w = tuple(v), tuple(w)
-        return (BasisElt(v, w, 0),) if (v, w) in self._reps else ()
+        return self._hom_memo.get((tuple(v), tuple(w)), ())
 
     def compose(self, f: BasisElt, g: BasisElt) -> BasisElt | None:
         if f.dst != g.src:

@@ -3,7 +3,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 from hinak.algebras import AlgebraSpec, build
-from hinak.cli import main
+from hinak import cli
+from hinak.cli import main, make_parser
 from hinak.reps import ext_dim, interval_module
 
 
@@ -247,3 +248,30 @@ def test_hom_on_orbit_family():
         "--from", "0,1,2", "--to", "0,1,2",
     )
     assert code == 0 and out == "1\n"
+
+
+def test_shared_parser_keeps_no_state_between_calls(monkeypatch):
+    """main reuses one parser; each answer equals the one a freshly built parser gives."""
+    assert make_parser() is make_parser()
+    an42 = ("--family", "an", "--n", "4", "--d", "2")
+    an31 = ("--family", "an", "--n", "3", "--d", "1", "--suite", "gldim")
+    sequence = [
+        ("hom", "--family", "an", "--n", "4", "--from", "0,1,2", "--to", "1,2,3"),
+        ("hom", *an42, "--from", "0,2,9", "--to", "0,1,2"),
+        ("tau", *an42, "--module", "0,1,2", "--power", "-1"),
+        ("tau", *an42, "--module", "1,2,3"),
+        ("quiver", *an42, "--format", "qpa"),
+        ("quiver", *an42),
+        ("check", *an31, "--report", "json"),
+        ("check", *an31),
+    ]
+    shared = [run_cli(*argv) for argv in sequence]
+    monkeypatch.setattr(cli, "make_parser", make_parser.__wrapped__)
+    fresh = [run_cli(*argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 2, 0, 0, 0, 0, 0, 0]
+    assert "--d" in shared[0][2] and "does not index a summand" in shared[1][2]
+    assert shared[2][1] == "1,2,3\n" and shared[3][1] == "0,1,2\n"
+    assert shared[4][1] != shared[5][1] and shared[5][1].startswith("digraph")
+    assert json.loads(shared[6][1]) and "PASS" in shared[7][1]
+    assert not shared[7][1].lstrip().startswith("[")
