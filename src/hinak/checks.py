@@ -111,12 +111,15 @@ class CheckReport:
 
 
 def _iso_ok(M: MatrixModule, N: MatrixModule) -> tuple[bool, str]:
+    """The verdict of ``modules_isomorphic`` and the certificate that decided it."""
     verdict = modules_isomorphic(M, N)
     if verdict is True:
         return True, "isomorphic"
-    if verdict is False:
+    if verdict is None:
+        return False, "undetermined"
+    if any(M.dim(v) != N.dim(v) for v in M.alg.vertices):
         return False, "dimension vectors differ"
-    return False, "undetermined"
+    return False, "dim Hom(M, N) is 0 or differs from dim Hom(N, M)"
 
 
 def _require_suite(spec: AlgebraSpec, name: str) -> None:

@@ -2,13 +2,18 @@
 
 Entries are ``int | Fraction``: ints until a division, which always goes through
 :func:`_div`, is inexact.  No floating point is used anywhere.  Matrices stay
-small (a few hundred rows), so plain Gaussian elimination is enough.  Every
-construction checks that the data has the stated shape.
+small (a few hundred rows).  :meth:`Mat.rref` eliminates fraction-free over
+integer rows, each kept primitive by dividing out its gcd, so no Fraction
+arithmetic runs inside the elimination; ``//`` appears only where the
+division is exact.  Every construction checks that the data has the stated
+shape.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -18,6 +23,9 @@ def _div(x: int | Fraction, p: int | Fraction) -> int | Fraction:
         return x // p if x % p == 0 else Fraction(x, p)
     q = x / p
     return q.numerator if q.denominator == 1 else q
+
+
+_INT = {int}
 
 
 class Mat:
@@ -117,27 +125,69 @@ class Mat:
             raise ValueError("shape mismatch")
 
     def rref(self) -> tuple["Mat", list[int]]:
-        """Reduced row echelon form and the pivot column indices."""
+        """Reduced row echelon form and the pivot column indices.
+
+        Fraction-free: when the matrix holds a Fraction, each row is scaled
+        to integers by the lcm of its denominators, which leaves the row
+        space unchanged.  A pivot row is first divided by its content (the
+        gcd of its entries, signed so the pivot is positive), so a pivot that
+        divides its row becomes 1 and the elimination is plain ``r_i - f*r``.
+        Otherwise ``r_i <- p*r_i - f*r`` with ``p, f`` divided by their gcd,
+        and the new row by its content.  Only at the end is each pivot row
+        divided by its pivot, through :func:`_div`.  The reduced form is
+        unique, so this is the Gauss-Jordan result, with an int wherever an
+        entry is integral.
+        """
         m = [row[:] for row in self.data]
         rows, cols = self.rows, self.cols
         pivots: list[int] = []
+        if not rows or not cols:
+            return Mat(m, rows, cols), pivots
+        if set(map(type, chain.from_iterable(m))) != _INT:
+            for i, row in enumerate(m):
+                # a list, not a generator: a star-unpacked generator resizes its argument
+                # tuple, and the resized tuples pile up in CPython's tuple free lists
+                den = lcm(*[x.denominator for x in row])
+                m[i] = [x.numerator * (den // x.denominator) for x in row]
+        unit_pivots = True
         r = 0
         for c in range(cols):
             if r >= rows:
                 break
-            pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-            if pr is None:
+            for pr in range(r, rows):
+                if m[pr][c] != 0:
+                    break
+            else:
                 continue
             m[r], m[pr] = m[pr], m[r]
             pv = m[r][c]
             if pv != 1:
-                m[r] = [_div(x, pv) for x in m[r]]
+                g = gcd(*m[r]) if pv > 0 else -gcd(*m[r])
+                if g != 1:
+                    m[r] = [x // g for x in m[r]]
+                    pv = m[r][c]
+                unit_pivots = unit_pivots and pv == 1
+            pivot_row = m[r]
             for i in range(rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                if i == r or f == 0:
+                    continue
+                if pv == 1:
+                    m[i] = [a - f * b for a, b in zip(m[i], pivot_row)]
+                    continue
+                g = gcd(pv, f)
+                p, f = pv // g, f // g
+                row = [p * a - f * b for a, b in zip(m[i], pivot_row)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
             pivots.append(c)
             r += 1
+        if not unit_pivots:
+            # a step with a pivot above 1 scales the earlier pivot rows too, so every one is checked
+            for k, c in enumerate(pivots):
+                pv = m[k][c]
+                if pv != 1:
+                    m[k] = [_div(x, pv) for x in m[k]]
         return Mat(m, rows, cols), pivots
 
     def rank(self) -> int:

@@ -177,16 +177,14 @@ class ProjSum:
         for a in alg.arrows():
             if not (dims[a.src] and dims[a.dst]):
                 continue
+            e = a.elt
             m = Mat.zeros(dims[a.src], dims[a.dst])
             rows = {key: i for i, key in enumerate(self.basis_index[a.src])}
-            col = 0
-            for s, u in enumerate(self.summands):
-                for b in alg.hom_basis(a.dst, u):
-                    comp = alg.compose(a.elt, b)
-                    if comp is not None:
-                        m.data[rows[(s, comp)]][col] = 1
-                    col += 1
-            mats[a.elt] = m
+            for col, (s, b) in enumerate(self.basis_index[a.dst]):
+                comp = alg.compose(e, b)
+                if comp is not None:
+                    m.data[rows[(s, comp)]][col] = 1
+            mats[e] = m
         self.module = MatrixModule(alg, dims, mats)
 
     def generator_position(self, s: int) -> int:
@@ -437,7 +435,7 @@ def projective_cover(M: MatrixModule) -> tuple[ProjSum, ModuleHom]:
     for w in alg.vertices:
         if not (M.dims[w] and P.module.dims[w]):
             continue
-        cols = [M.act(b).column(j) for u, j in gens for b in alg.hom_basis(w, u)]
+        cols = [M.act(b).column(gens[s][1]) for s, b in P.basis_index[w]]
         mats[w] = Mat([list(row) for row in zip(*cols)], M.dims[w], len(cols))
     h = ModuleHom(P.module, M, mats)
     return P, h
@@ -759,13 +757,18 @@ def tau_d_inverse(M: MatrixModule, d: int) -> MatrixModule:
 def modules_isomorphic(M: MatrixModule, N: MatrixModule) -> bool | None:
     """True / False on a definite answer; None when undetermined.
 
-    Dimension vectors decide the negative direction.  The positive
-    certificate is the one combination h_1 + c_2 h_2 + ... + c_k h_k of the
-    Hom basis, with c_i drawn from 1..2^20 by a generator seeded here, checked
-    for invertibility exactly.  The determinant at each vertex is homogeneous
-    in (c_1, ..., c_k), so fixing c_1 = 1 loses nothing, and when an
+    Three negative certificates, each exact: distinct dimension vectors; an
+    empty Hom(M, N) with M non-zero, since an isomorphism would be a non-zero
+    element of it; and dim Hom(M, N) != dim Hom(N, M), since an isomorphism
+    makes both spaces isomorphic to End(M).  Hom(N, M) is computed only when
+    the positive certificate has missed.  The positive certificate is the
+    one combination h_1 + c_2 h_2 + ... + c_k h_k of the Hom basis, with c_i
+    drawn from 1..2^20 by a generator seeded here, checked for invertibility
+    exactly.  The determinant at each vertex is homogeneous in
+    (c_1, ..., c_k), so fixing c_1 = 1 loses nothing, and when an
     isomorphism exists the Schwartz-Zippel lemma bounds a miss by
-    dim M / 2^20.  A miss is reported as None, never as False.
+    dim M / 2^20.  A miss that no negative certificate explains is reported
+    as None.
     """
     if any(M.dim(v) != N.dim(v) for v in M.alg.vertices):
         return False
@@ -773,12 +776,14 @@ def modules_isomorphic(M: MatrixModule, N: MatrixModule) -> bool | None:
         return True
     homs = hom_space(M, N)
     if not homs:
-        return None
+        return False
     rng = random.Random(0)
     combo = homs[0]
     for h in homs[1:]:
         combo = combo.add(h.scale(rng.randint(1, 1 << 20)))
-    return True if combo.is_iso() else None
+    if combo.is_iso():
+        return True
+    return False if len(hom_space(N, M)) != len(homs) else None
 
 
 def find_isomorphic(M: MatrixModule, candidates: Iterable[tuple[object, MatrixModule]]):

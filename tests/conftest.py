@@ -1,0 +1,11 @@
+"""Hypothesis profiles.
+
+The default profile is tier-1's budget.  ``--hypothesis-profile=ci`` raises
+every property test of ``test_linalg.py`` to 2000 examples:
+
+    PYTHONPATH=src python -m pytest tests/test_linalg.py --hypothesis-profile=ci
+"""
+
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=2000, deadline=None)

@@ -4,7 +4,8 @@
 invertibility.  ``scan_isomorphic`` below is the search it replaced: each
 basis hom, then every combination with coefficients in -2..2 of up to four
 basis homs.  Wherever the scan decided, the certificate must give the same
-verdict.
+verdict.  Where the combination misses, Hom dimensions decide the negative
+direction.
 """
 
 import ast
@@ -68,7 +69,23 @@ def test_find_isomorphic_returns_the_first_certified_label():
     assert find_isomorphic(M, sums[:3] + sums[4:]) is None
 
 
-@pytest.mark.parametrize(
+def combination_certificate(M, N):
+    """The verdict before the Hom-dimension certificates: dimension vectors, then the seeded combination."""
+    if any(M.dim(v) != N.dim(v) for v in M.alg.vertices):
+        return False
+    if M.is_zero():
+        return True
+    homs = hom_space(M, N)
+    if not homs:
+        return None
+    rng = random.Random(0)
+    combo = homs[0]
+    for h in homs[1:]:
+        combo = combo.add(h.scale(rng.randint(1, 1 << 20)))
+    return True if combo.is_iso() else None
+
+
+DIFFERENTIAL_SPECS = pytest.mark.parametrize(
     "spec",
     [
         AlgebraSpec.selfinj_atilde(3, 3, 2),
@@ -78,18 +95,40 @@ def test_find_isomorphic_returns_the_first_certified_label():
     ],
     ids=lambda s: s.family,
 )
-def test_certificate_agrees_with_the_scan_wherever_the_scan_decides(spec):
+
+
+def differential_modules(spec):
+    """The summands, their d-translates and the sums of two distinct summands."""
     alg = build(spec)
     summands = [interval_module(alg, lam) for lam in alg.summands()]
     mods = summands + [tau_d(M, alg.d) for M in summands]
-    mods += [direct_sum_modules(pair) for pair in itertools.combinations(summands, 2)]
+    return mods + [direct_sum_modules(pair) for pair in itertools.combinations(summands, 2)]
+
+
+@DIFFERENTIAL_SPECS
+def test_certificate_agrees_with_the_scan_wherever_the_scan_decides(spec):
+    mods = differential_modules(spec)
     seen = set()
     for X in mods:
         for Y in mods:
             old, new = scan_isomorphic(X, Y), modules_isomorphic(X, Y)
             assert old is None or new is old
             seen.add(new)
-    assert seen == {True, False, None}
+    assert {True, False} <= seen
+
+
+@DIFFERENTIAL_SPECS
+def test_hom_dimensions_decide_the_pairs_the_combination_misses(spec):
+    # X ≅ Y with X non-zero forces dim Hom(X, Y) = dim Hom(Y, X) = dim End(X) > 0
+    mods = differential_modules(spec)
+    missed = [(X, Y) for X in mods for Y in mods if combination_certificate(X, Y) is None]
+    verdicts = []
+    for X, Y in missed:
+        hom_xy, hom_yx = len(hom_space(X, Y)), len(hom_space(Y, X))
+        verdict = modules_isomorphic(X, Y)
+        assert verdict is (False if hom_xy == 0 or hom_xy != hom_yx else None)
+        verdicts.append(verdict)
+    assert False in verdicts
 
 
 def test_randomness_is_seeded_inside_each_call():

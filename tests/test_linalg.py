@@ -12,6 +12,19 @@ from hinak.linalg import Mat, _div, block_diag, cokernel_projection, column_spac
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 # ints, Fractions, and Fractions whose denominator is 1, all in one matrix
 mixed_entries = st.one_of(st.integers(-6, 6), rationals, st.integers(-6, 6).map(Fraction))
+# zeros and small ints with common factors, so integer pivots often fail to divide their row,
+# and p/q with |p|, q up to 10^6, so rows are scaled by large lcms
+hard_entries = st.one_of(
+    st.just(0),
+    st.sampled_from([2, -2, 3, -3, 4, 6, -6]),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+def examples(n):
+    """n, or the loaded profile's budget when that is larger (``--hypothesis-profile=ci``)."""
+    return max(n, settings.default.max_examples)
 
 
 def small_rows(entries, max_dim=5):
@@ -46,20 +59,20 @@ def test_solve_example():
 
 
 @given(small_matrix())
-@settings(max_examples=150)
+@settings(max_examples=examples(150))
 def test_rank_nullity(m):
     assert m.rank() + m.kernel_basis().cols == m.cols
 
 
 @given(small_matrix())
-@settings(max_examples=150)
+@settings(max_examples=examples(150))
 def test_kernel_annihilates(m):
     k = m.kernel_basis()
     assert (m * k).is_zero()
 
 
 @given(small_matrix())
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 def test_cokernel_projection_properties(m):
     p = cokernel_projection(m)
     assert p.rows == m.rows - m.rank()
@@ -68,7 +81,7 @@ def test_cokernel_projection_properties(m):
 
 
 @given(small_matrix())
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 def test_solve_returns_actual_solution(m):
     rhs = m * Mat.from_rows([[Fraction(i - j, 2)] for i in range(m.cols) for j in [1]])
     sol = m.solve(rhs)
@@ -101,7 +114,7 @@ def test_stacking():
 
 
 @given(small_matrix())
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 def test_column_space_completion(m):
     extra = column_space_completion(m)
     assert len(extra) == m.rows - m.rank()
@@ -157,6 +170,10 @@ def assert_exact(m):
     assert all(type(x) in (int, Fraction) for row in m.data for x in row)
 
 
+def assert_int_first(m):
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for row in m.data for x in row)
+
+
 def test_div_is_int_first():
     assert type(_div(4, 2)) is int and _div(4, 2) == 2
     assert type(_div(6, -3)) is int and _div(6, -3) == -2
@@ -168,7 +185,7 @@ def test_div_is_int_first():
 
 
 @given(small_rows(mixed_entries), mixed_entries)
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 def test_entries_stay_exact_and_match_fraction_reference(rows, c):
     raw = Mat([row[:] for row in rows])
     m = Mat.from_rows(rows)
@@ -178,11 +195,11 @@ def test_entries_stay_exact_and_match_fraction_reference(rows, c):
     ref_red, ref_pivots = reference_rref(rows)
     for a in (raw, m):
         red, pivots = a.rref()
-        assert_exact(red)
+        assert_int_first(red)
         assert (red.data, pivots) == (ref_red, ref_pivots)
         assert a.rank() == len(ref_pivots)
         k = a.kernel_basis()
-        assert_exact(k)
+        assert_int_first(k)
         assert k.transpose().data == reference_kernel(rows)
     scaled = raw.scale(c)
     assert_exact(scaled)
@@ -192,13 +209,37 @@ def test_entries_stay_exact_and_match_fraction_reference(rows, c):
     assert sq.data == [[sum((Fraction(x) * y for x, y in zip(ra, rb)), Fraction(0)) for rb in rows] for ra in rows]
     rhs = raw * Mat.from_rows([[j - 1] for j in range(raw.cols)])
     sol = raw.solve(rhs)
-    assert_exact(sol)
+    assert_int_first(sol)
     assert raw * sol == rhs
     inv = sq.inverse()
     assert (inv is None) == (len(reference_rref(sq.data)[1]) < sq.rows)
     if inv is not None:
-        assert_exact(inv)
+        assert_int_first(inv)
         assert sq * inv == Mat.identity(sq.rows)
+
+
+def test_rref_examples():
+    # the second pivot step scales the first row, whose pivot was already 1, by 2
+    red, pivots = Mat([[1, 1, 1], [0, 2, 1]]).rref()
+    assert (red.data, pivots) == ([[1, 0, Fraction(1, 2)], [0, 1, Fraction(1, 2)]], [0, 1])
+    red, pivots = Mat([[1, 1], [Fraction(1, 2), Fraction(3, 2)]]).rref()
+    assert (red.data, pivots) == ([[1, 0], [0, 1]], [0, 1])
+    assert_int_first(red)
+    red, pivots = Mat([[0, -2, 4], [0, 3, 6]]).rref()
+    assert (red.data, pivots) == ([[0, 1, 0], [0, 0, 1]], [1, 2])
+    for rows, cols in ((0, 3), (2, 0), (0, 0)):
+        red, pivots = Mat.zeros(rows, cols).rref()
+        assert (red.rows, red.cols, red.data, pivots) == (rows, cols, [[]] * rows, [])
+
+
+@given(small_rows(hard_entries, max_dim=6))
+@settings(max_examples=examples(200))
+def test_rref_matches_reference_on_non_dividing_pivots_and_large_denominators(rows):
+    m = Mat([row[:] for row in rows])
+    red, pivots = m.rref()
+    assert (red.data, pivots) == reference_rref(rows)
+    assert_int_first(red)
+    assert m.data == rows  # rref leaves its input alone
 
 
 def test_every_division_goes_through_div():
