@@ -119,7 +119,10 @@ def _iso_ok(M: MatrixModule, N: MatrixModule) -> tuple[bool, str]:
         return False, "undetermined"
     if any(M.dim(v) != N.dim(v) for v in M.alg.vertices):
         return False, "dimension vectors differ"
-    return False, "dim Hom(M, N) is 0 or differs from dim Hom(N, M)"
+    homs = len(hom_space(M, N))
+    if homs == 0 or homs != len(hom_space(N, M)):
+        return False, "dim Hom(M, N) is 0 or differs from dim Hom(N, M)"
+    return False, "socle or top dimension vectors differ"
 
 
 def _require_suite(spec: AlgebraSpec, name: str) -> None:

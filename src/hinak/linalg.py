@@ -84,14 +84,6 @@ class Mat:
             self.cols,
         )
 
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.rows,
-            self.cols,
-        )
-
     def scale(self, c) -> "Mat":
         if type(c) is not int:
             c = _div(Fraction(c), 1)

@@ -149,11 +149,11 @@ def projective_module(alg: BasisAlgebra, v) -> MatrixModule:
 def injective_module(alg: BasisAlgebra, v) -> MatrixModule:
     v = alg.require_vertex(v)
     if v not in alg._inj_cache:
-        alg._inj_cache[v] = InjSum(alg, (v,)).module
+        alg._inj_cache[v] = dualize(ProjSum(alg.opposite(), (v,)).module)
     return alg._inj_cache[v]
 
 
-# ---------------------------------------------------------------------- sums of projectives / injectives
+# ---------------------------------------------------------------------- sums of projectives
 
 
 @dataclass
@@ -190,26 +190,6 @@ class ProjSum:
     def generator_position(self, s: int) -> int:
         u = self.summands[s]
         return self.basis_index[u].index((s, self.alg.identity(u)))
-
-
-@dataclass
-class InjSum:
-    """An ordered direct sum of indecomposable injectives.
-
-    It is the dual of the projective sum over the opposite algebra; the
-    fiber at w has the dual basis of the morphisms c: u -> w, listed in
-    ``basis_index[w]`` as (summand, c).
-    """
-
-    alg: object
-    summands: tuple[IntTuple, ...]
-
-    def __post_init__(self):
-        P = ProjSum(self.alg.opposite(), self.summands)
-        self.basis_index = {
-            w: [(s, b.flipped()) for s, b in entries] for w, entries in P.basis_index.items()
-        }
-        self.module = dualize(P.module)
 
 
 # ---------------------------------------------------------------------- module homomorphisms
@@ -422,23 +402,33 @@ def loewy_length_module(M: MatrixModule) -> int:
 # ---------------------------------------------------------------------- covers, envelopes
 
 
+def hom_from_generators(
+    P: ProjSum, M: MatrixModule, images: Sequence[list[tuple[int, int | Fraction]]]
+) -> ModuleHom:
+    """The hom P -> M that sends the generator of summand s of P to images[s] in M at P.summands[s].
+
+    ``images[s]`` lists the (index, coefficient) pairs of that vector.  By
+    Yoneda the basis vector (s, b) of P at w goes to M.act(b) applied to images[s].
+    """
+    mats = {}
+    for w, entries in P.basis_index.items():
+        if not (entries and M.dims[w]):
+            continue
+        cols = [[sum(c * row[i] for i, c in images[s] if row[i]) for row in M.act(b).data] for s, b in entries]
+        mats[w] = Mat([list(row) for row in zip(*cols)], M.dims[w], len(cols))
+    return ModuleHom(P.module, M, mats)
+
+
 def projective_cover(M: MatrixModule) -> tuple[ProjSum, ModuleHom]:
-    alg = M.alg
+    """The projective cover P -> M, sending the generators of P to a basis of the top of M."""
     gens: list[tuple[IntTuple, int]] = []  # (vertex, index of the top basis vector there)
-    for v in alg.vertices:
+    for v in M.alg.vertices:
         if M.dim(v) == 0:
             continue
         rad = radical_spanning_columns(M, v)
         gens.extend((v, j) for j in column_space_completion(rad))
-    P = ProjSum(alg, tuple(v for v, _ in gens))
-    mats = {}
-    for w in alg.vertices:
-        if not (M.dims[w] and P.module.dims[w]):
-            continue
-        cols = [M.act(b).column(gens[s][1]) for s, b in P.basis_index[w]]
-        mats[w] = Mat([list(row) for row in zip(*cols)], M.dims[w], len(cols))
-    h = ModuleHom(P.module, M, mats)
-    return P, h
+    P = ProjSum(M.alg, tuple(v for v, _ in gens))
+    return P, hom_from_generators(P, M, [[(j, 1)] for _, j in gens])
 
 
 def is_projective(M: MatrixModule) -> bool:
@@ -460,11 +450,15 @@ def syzygy_module(M: MatrixModule) -> MatrixModule:
     return K
 
 
-def injective_envelope(M: MatrixModule) -> tuple[InjSum, ModuleHom]:
-    alg = M.alg
+def injective_envelope(M: MatrixModule) -> tuple[ProjSum, ModuleHom]:
+    """The injective envelope M -> DP, with P a sum of projectives over the opposite algebra.
+
+    It is the transpose of the map P -> DM that sends the generators of P to
+    a basis of the top of DM: the functionals on M dual to a basis of its socle.
+    """
     S, s_incl = socle_module(M)
-    picks: list[tuple[IntTuple, Mat]] = []  # (vertex, functional row on the space at v)
-    for v in alg.vertices:
+    picks = []  # (vertex, functional on the space at v as (index, coefficient) pairs)
+    for v in M.alg.vertices:
         k = S.dim(v)
         if k == 0:
             continue
@@ -472,24 +466,11 @@ def injective_envelope(M: MatrixModule) -> tuple[InjSum, ModuleHom]:
         lift = basis.transpose().solve(Mat.identity(k).transpose())
         if lift is None:  # pragma: no cover
             raise AssertionError("socle basis is not full rank")
-        xi = lift.transpose()  # k x dim(v), xi * basis = identity
-        for r in range(k):
-            picks.append((v, Mat([xi.data[r][:]], 1, M.dim(v))))
-    I = InjSum(alg, tuple(v for v, _ in picks))
-    mats = {}
-    for w in alg.vertices:
-        rows_at_w = I.basis_index[w]
-        if not (rows_at_w and M.dims[w]):
-            continue
-        m = Mat.zeros(len(rows_at_w), M.dim(w))
-        for r, (s, c) in enumerate(rows_at_w):
-            v, xi = picks[s]
-            # component of the envelope at the dual basis vector of c: v -> w
-            row = xi * M.act(c)
-            m.data[r] = row.data[0][:]
-        mats[w] = m
-    h = ModuleHom(M, I.module, mats)
-    return I, h
+        for xi in lift.transpose().data:  # the rows xi with xi * basis = identity
+            picks.append((v, [(i, x) for i, x in enumerate(xi) if x]))
+    P = ProjSum(M.alg.opposite(), tuple(v for v, _ in picks))
+    g = hom_from_generators(P, dualize(M), [xi for _, xi in picks])
+    return P, ModuleHom(M, dualize(P.module), {w: m.transpose() for w, m in g.mats.items()})
 
 
 # ---------------------------------------------------------------------- resolutions
@@ -517,24 +498,12 @@ def hom_to_alg_mat(h: ModuleHom, src: ProjSum, dst: ProjSum) -> AlgMat:
 
 
 def alg_mat_to_hom(am: AlgMat) -> ModuleHom:
-    alg = am.src.alg
-    mats = {}
-    for w in alg.vertices:
-        src_cols = am.src.basis_index[w]
-        dst_rows = {key: i for i, key in enumerate(am.dst.basis_index[w])}
-        if not (src_cols and dst_rows):
-            continue
-        m = Mat.zeros(len(dst_rows), len(src_cols))
-        for j, (s, b) in enumerate(src_cols):
-            for (t, s2), terms in am.entries.items():
-                if s2 != s:
-                    continue
-                for coeff, e in terms:
-                    r = alg.compose(b, e)
-                    if r is not None:
-                        m.data[dst_rows[(t, r)]][j] += coeff
-        mats[w] = m
-    return ModuleHom(am.src.module, am.dst.module, mats)
+    """The hom that sends generator s of am.src to the sum of coeff * (t, e) over the entries (t, s)."""
+    images = [[] for _ in am.src.summands]
+    for (t, s), terms in am.entries.items():
+        position = am.dst.basis_index[am.src.summands[s]].index
+        images[s].extend((position((t, e)), coeff) for coeff, e in terms)
+    return hom_from_generators(am.src, am.dst.module, images)
 
 
 @dataclass
@@ -587,7 +556,7 @@ def min_proj_resolution(M: MatrixModule, cap: int) -> ProjResolution:
 @dataclass
 class InjCoresolution:
     base: MatrixModule
-    terms: list[InjSum]
+    terms: list[ProjSum]  # over the opposite algebra: term j is dualize(terms[j].module)
     complete: bool
 
     @property
@@ -597,12 +566,12 @@ class InjCoresolution:
 
 def min_inj_coresolution(M: MatrixModule, cap: int) -> InjCoresolution:
     if M.is_zero():
-        return InjCoresolution(M, [InjSum(M.alg, ())], True)
-    terms: list[InjSum] = []
+        return InjCoresolution(M, [ProjSum(M.alg.opposite(), ())], True)
+    terms: list[ProjSum] = []
     X = M
     for step in range(cap + 1):
-        I, h = injective_envelope(X)
-        terms.append(I)
+        P, h = injective_envelope(X)
+        terms.append(P)
         X, _ = cokernel_of_hom(h)
         if X.is_zero():
             return InjCoresolution(M, terms, True)
@@ -692,11 +661,10 @@ def domdim(alg, cap: int) -> tuple[int, bool]:
     k.  A coresolution that terminates with every term projective forces an
     unbounded dominant dimension, reported as (cap + 1, False).
     """
-    P = ProjSum(alg, tuple(alg.vertices))
-    cores = min_inj_coresolution(P.module, cap)
+    cores = min_inj_coresolution(ProjSum(alg, tuple(alg.vertices)).module, cap)
     count = 0
-    for I in cores.terms:
-        if is_projective(I.module):
+    for P in cores.terms:
+        if is_projective(dualize(P.module)):
             count += 1
         else:
             return count, True
@@ -757,11 +725,13 @@ def tau_d_inverse(M: MatrixModule, d: int) -> MatrixModule:
 def modules_isomorphic(M: MatrixModule, N: MatrixModule) -> bool | None:
     """True / False on a definite answer; None when undetermined.
 
-    Three negative certificates, each exact: distinct dimension vectors; an
+    Four negative certificates, each exact: distinct dimension vectors; an
     empty Hom(M, N) with M non-zero, since an isomorphism would be a non-zero
-    element of it; and dim Hom(M, N) != dim Hom(N, M), since an isomorphism
-    makes both spaces isomorphic to End(M).  Hom(N, M) is computed only when
-    the positive certificate has missed.  The positive certificate is the
+    element of it; dim Hom(M, N) != dim Hom(N, M), since an isomorphism
+    makes both spaces isomorphic to End(M); and distinct socle or top
+    dimension vectors, dim Hom(S_v, -) and dim Hom(-, S_v) at the simples,
+    the top read as the socle of the dual.  The last two are computed only
+    when the positive certificate has missed.  The positive certificate is the
     one combination h_1 + c_2 h_2 + ... + c_k h_k of the Hom basis, with c_i
     drawn from 1..2^20 by a generator seeded here, checked for invertibility
     exactly.  The determinant at each vertex is homogeneous in
@@ -783,7 +753,12 @@ def modules_isomorphic(M: MatrixModule, N: MatrixModule) -> bool | None:
         combo = combo.add(h.scale(rng.randint(1, 1 << 20)))
     if combo.is_iso():
         return True
-    return False if len(hom_space(N, M)) != len(homs) else None
+    if len(hom_space(N, M)) != len(homs):
+        return False
+    for X, Y in ((M, N), (dualize(M), dualize(N))):
+        if socle_module(X)[0].dims != socle_module(Y)[0].dims:
+            return False
+    return None
 
 
 def find_isomorphic(M: MatrixModule, candidates: Iterable[tuple[object, MatrixModule]]):

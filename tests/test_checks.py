@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from hinak.algebras import AlgebraSpec
+from hinak import checks
+from hinak.algebras import AlgebraSpec, build
 from hinak.checks import (
     CheckReport,
+    _iso_ok,
     applicable_suites,
     check_gldim,
     check_homological_embedding,
@@ -15,6 +17,7 @@ from hinak.checks import (
     run_all,
     run_suite,
 )
+from hinak.reps import direct_sum_modules, interval_module, simple_module
 
 
 def test_report_serialization_is_deterministic():
@@ -132,3 +135,22 @@ def test_desk_scale_warning():
         warn_beyond_desk_scale(AlgebraSpec.linear_an(6, 2))
         warn_beyond_desk_scale(AlgebraSpec.linear_an(4, 2))
     assert len(caught) == 1 and "n=6" in str(caught[0].message)
+
+
+def test_iso_ok_names_the_certificate_that_decided(monkeypatch):
+    alg = build(AlgebraSpec.linear_an(4, 2))
+
+    def intervals(*lams):
+        return direct_sum_modules([interval_module(alg, lam) for lam in lams])
+
+    U = intervals((0, 0, 1))
+    layers = direct_sum_modules([simple_module(alg, v) for v in alg.vertices for _ in range(U.dim(v))])
+    assert _iso_ok(U, intervals((0, 0, 1))) == (True, "isomorphic")
+    assert _iso_ok(U, intervals((0, 1, 2))) == (False, "dimension vectors differ")
+    # dim Hom is 2 one way and 1 the other
+    hom = (False, "dim Hom(M, N) is 0 or differs from dim Hom(N, M)")
+    assert _iso_ok(intervals((0, 0, 0), (0, 1, 1)), intervals((0, 0, 1), (1, 1, 1))) == hom
+    # a uniserial module and its composition factors: dim Hom is 1 both ways
+    assert _iso_ok(U, layers) == (False, "socle or top dimension vectors differ")
+    monkeypatch.setattr(checks, "modules_isomorphic", lambda M, N: None)
+    assert _iso_ok(U, U) == (False, "undetermined")

@@ -5,7 +5,7 @@ invertibility.  ``scan_isomorphic`` below is the search it replaced: each
 basis hom, then every combination with coefficients in -2..2 of up to four
 basis homs.  Wherever the scan decided, the certificate must give the same
 verdict.  Where the combination misses, Hom dimensions decide the negative
-direction.
+direction: between the two modules, or from and to the simples.
 """
 
 import ast
@@ -17,7 +17,16 @@ import pytest
 
 import hinak
 from hinak.algebras import AlgebraSpec, build
-from hinak.reps import direct_sum_modules, find_isomorphic, hom_space, interval_module, modules_isomorphic, tau_d
+from hinak.checks import _iso_ok
+from hinak.reps import (
+    direct_sum_modules,
+    find_isomorphic,
+    hom_space,
+    interval_module,
+    modules_isomorphic,
+    simple_module,
+    tau_d,
+)
 from test_sparse_homs import conjugate
 
 
@@ -117,18 +126,29 @@ def test_certificate_agrees_with_the_scan_wherever_the_scan_decides(spec):
     assert {True, False} <= seen
 
 
+def layer_dims(X):
+    """dim Hom(S_v, X) and dim Hom(X, S_v) at each vertex v: the socle and the top of X."""
+    simples = [simple_module(X.alg, v) for v in X.alg.vertices]
+    return [(len(hom_space(S, X)), len(hom_space(X, S))) for S in simples]
+
+
 @DIFFERENTIAL_SPECS
 def test_hom_dimensions_decide_the_pairs_the_combination_misses(spec):
-    # X ≅ Y with X non-zero forces dim Hom(X, Y) = dim Hom(Y, X) = dim End(X) > 0
+    # X ≅ Y with X non-zero forces dim Hom(X, Y) = dim Hom(Y, X) = dim End(X) > 0,
+    # and dim Hom(S, X) = dim Hom(S, Y), dim Hom(X, S) = dim Hom(Y, S) for every simple S
     mods = differential_modules(spec)
     missed = [(X, Y) for X in mods for Y in mods if combination_certificate(X, Y) is None]
-    verdicts = []
+    by_layers = 0
     for X, Y in missed:
         hom_xy, hom_yx = len(hom_space(X, Y)), len(hom_space(Y, X))
-        verdict = modules_isomorphic(X, Y)
-        assert verdict is (False if hom_xy == 0 or hom_xy != hom_yx else None)
-        verdicts.append(verdict)
-    assert False in verdicts
+        assert modules_isomorphic(X, Y) is False
+        if hom_xy == 0 or hom_xy != hom_yx:
+            assert _iso_ok(X, Y) == (False, "dim Hom(M, N) is 0 or differs from dim Hom(N, M)")
+        else:
+            assert layer_dims(X) != layer_dims(Y)
+            assert _iso_ok(X, Y) == (False, "socle or top dimension vectors differ")
+            by_layers += 1
+    assert missed and by_layers == (12 if spec.family == "tube-trunc" else 0)
 
 
 def test_randomness_is_seeded_inside_each_call():

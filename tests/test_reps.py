@@ -341,6 +341,25 @@ def test_domdim_selfinjective_unbounded():
     assert value >= 4 and not exact
 
 
+def test_domdim_with_every_term_projective_up_to_the_cap_is_a_lower_bound():
+    alg = A42()
+    assert domdim(alg, 6) == (2, True)
+    assert domdim(alg, 0) == (1, False)
+    assert domdim(alg, 1) == (2, False)
+
+
+def test_syzygies_at_zero_and_past_the_last_term():
+    M = interval_module(A42(), (1, 2, 2))
+    full = min_proj_resolution(M, 4)
+    assert full.complete and full.length == 2
+    assert full.syzygy(0) is M
+    assert full.syzygy(full.length + 2).is_zero()
+    capped = min_proj_resolution(M, 0)
+    assert not capped.complete and not capped.syzygy(1).is_zero()
+    with pytest.raises(CapExceeded):
+        capped.syzygy(2)
+
+
 # ------------------------------------------------------------------ iso testing
 
 
@@ -348,7 +367,7 @@ def test_modules_isomorphic_verdicts():
     alg = build(AlgebraSpec.linear_an(2, 1))
     M = interval_module(alg, (0, 1))  # the projective-injective of the A_2 quiver
     split = direct_sum_modules([simple_module(alg, (0,)), simple_module(alg, (1,))])
-    assert modules_isomorphic(M, split) is None  # same dims, no iso found: conservative
+    assert modules_isomorphic(M, split) is False  # same dims and dim Hom 1 both ways, different socles
     assert modules_isomorphic(M, simple_module(alg, (0,))) is False
     assert modules_isomorphic(M, interval_module(alg, (0, 1))) is True
 
@@ -527,6 +546,16 @@ def test_coresolution_of_noninjective():
     assert [t.summands for t in cores.terms] == [((1, 2),), ((1, 3),), ((3, 3),)]
 
 
+def test_coresolution_of_zero_and_below_the_injective_dimension():
+    alg = A42()
+    zero = min_inj_coresolution(zero_module(alg), 3)
+    assert zero.complete and zero.length == 0
+    assert zero.terms[0].alg is alg.opposite() and zero.terms[0].summands == ()
+    capped = min_inj_coresolution(interval_module(alg, (1, 2, 2)), 1)
+    assert not capped.complete and capped.length == 1
+    assert [t.summands for t in capped.terms] == [((1, 2),), ((1, 3),)]
+
+
 # ------------------------------------------------------------------ further contracts
 
 
@@ -634,12 +663,12 @@ def test_ext_second_argument_dimension_shift():
         M = interval_module(s, lam)
         for mu in lams:
             N = interval_module(s, mu)
-            I, envelope = injective_envelope(N)
+            _, envelope = injective_envelope(N)
             ON = cokernel_of_hom(envelope)[0]
             for i in (2, 3):
                 assert ext_dim(M, N, i) == ext_dim(M, ON, i - 1)
             ext1 = (
-                len(hom_space(M, ON)) - len(hom_space(M, I.module)) + len(hom_space(M, N))
+                len(hom_space(M, ON)) - len(hom_space(M, envelope.dst)) + len(hom_space(M, N))
             )
             assert ext_dim(M, N, 1) == ext1
 

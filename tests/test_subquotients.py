@@ -1,8 +1,9 @@
 """Kernels, cokernels and radicals by their universal properties.
 
 ``cokernel_of_hom``, the Nakayama image ``D Hom(-, A)`` of a map between
-projectives, ``tau_d``, ``tau_d_inverse`` and ``is_injective`` are built as
-duals of the projective-side constructions.  The
+projectives, ``tau_d``, ``tau_d_inverse``, ``is_injective`` and the
+injective envelope are built as duals of the projective-side constructions,
+and every map out of a sum of projectives through one Yoneda helper.  The
 direct versions they replaced are kept below as the reference, and the two
 must agree entry for entry.  The predicates on module homomorphisms here are
 the test suite's own, computed straight from the blocks.
@@ -13,11 +14,11 @@ import random
 import pytest
 
 from hinak.algebras import AlgebraSpec, build
-from hinak.linalg import Mat, cokernel_projection
+from hinak.linalg import Mat, cokernel_projection, column_space_completion
 from hinak.reps import (
-    InjSum,
     MatrixModule,
     ModuleHom,
+    ProjSum,
     _transpose_alg_mat,
     alg_mat_to_hom,
     cokernel_of_hom,
@@ -36,6 +37,7 @@ from hinak.reps import (
     radical_module,
     radical_spanning_columns,
     simple_module,
+    socle_module,
     syzygy_module,
     tau_d,
     tau_d_inverse,
@@ -90,14 +92,21 @@ def direct_cokernel(h):
     return C, ModuleHom(h.dst, C, projs)
 
 
+def injective_sum(alg, summands):
+    """D ProjSum(Aᵒᵖ, summands) and its basis at each w: (s, c) for the dual basis vector of c: u_s -> w."""
+    P = ProjSum(alg.opposite(), summands)
+    index = {w: [(s, b.flipped()) for s, b in entries] for w, entries in P.basis_index.items()}
+    return dualize(P.module), index
+
+
 def direct_nakayama_hom(am):
     alg = am.src.alg
-    src = InjSum(alg, am.src.summands)
-    dst = InjSum(alg, am.dst.summands)
+    src, src_index = injective_sum(alg, am.src.summands)
+    dst, dst_index = injective_sum(alg, am.dst.summands)
     mats = {}
     for w in alg.vertices:
-        cols = src.basis_index[w]
-        rows = {key: i for i, key in enumerate(dst.basis_index[w])}
+        cols = src_index[w]
+        rows = {key: i for i, key in enumerate(dst_index[w])}
         m = Mat.zeros(len(rows), len(cols))
         for j, (s, c) in enumerate(cols):
             for (t, s2), terms in am.entries.items():
@@ -108,7 +117,59 @@ def direct_nakayama_hom(am):
                         if alg.compose(b, f) == c:
                             m.data[rows[(t, f)]][j] += coeff
         mats[w] = m
-    return ModuleHom(src.module, dst.module, mats)
+    return ModuleHom(src, dst, mats)
+
+
+def direct_projective_cover(M):
+    """The cover with its blocks read column by column from M.act, one generator per top basis vector."""
+    gens = [(v, j) for v in M.alg.vertices if M.dim(v) for j in column_space_completion(radical_spanning_columns(M, v))]
+    P = ProjSum(M.alg, tuple(v for v, _ in gens))
+    mats = {}
+    for w in M.alg.vertices:
+        if M.dims[w] and P.module.dims[w]:
+            cols = [M.act(b).column(gens[s][1]) for s, b in P.basis_index[w]]
+            mats[w] = Mat([list(row) for row in zip(*cols)], M.dims[w], len(cols))
+    return P, ModuleHom(P.module, M, mats)
+
+
+def direct_injective_envelope(M):
+    """The envelope with the row at the dual basis vector of c: v -> w read as xi * M.act(c)."""
+    S, s_incl = socle_module(M)
+    picks = []  # (vertex, functional row on the space at v)
+    for v in M.alg.vertices:
+        k = S.dim(v)
+        if k:
+            xi = s_incl.mat(v).transpose().solve(Mat.identity(k)).transpose()
+            picks += [(v, Mat([row[:]], 1, M.dim(v))) for row in xi.data]
+    I, index = injective_sum(M.alg, tuple(v for v, _ in picks))
+    mats = {}
+    for w in M.alg.vertices:
+        if index[w] and M.dims[w]:
+            rows = [(picks[s][1] * M.act(c)).data[0] for s, c in index[w]]
+            mats[w] = Mat(rows, len(rows), M.dims[w])
+    return tuple(v for v, _ in picks), ModuleHom(M, I, mats)
+
+
+def direct_alg_mat_to_hom(am):
+    """The hom of an AlgMat, composing each basis vector (s, b) of the source with the entries in column s."""
+    alg = am.src.alg
+    mats = {}
+    for w in alg.vertices:
+        src_cols = am.src.basis_index[w]
+        dst_rows = {key: i for i, key in enumerate(am.dst.basis_index[w])}
+        if not (src_cols and dst_rows):
+            continue
+        m = Mat.zeros(len(dst_rows), len(src_cols))
+        for j, (s, b) in enumerate(src_cols):
+            for (t, s2), terms in am.entries.items():
+                if s2 != s:
+                    continue
+                for coeff, e in terms:
+                    r = alg.compose(b, e)
+                    if r is not None:
+                        m.data[dst_rows[(t, r)]][j] += coeff
+        mats[w] = m
+    return ModuleHom(am.src.module, am.dst.module, mats)
 
 
 def same_module(M, N):
@@ -233,7 +294,7 @@ def direct_tau_d_inverse(M, d):
 
 
 def envelope_is_injective(M):
-    return M.is_zero() or injective_envelope(M)[0].module.total_dim == M.total_dim
+    return M.is_zero() or injective_envelope(M)[1].dst.total_dim == M.total_dim
 
 
 @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.family)
@@ -258,3 +319,32 @@ def test_translate_equals_the_dual_of_the_transpose(spec):
         assert same_module(t, direct_tau_d(M, alg.d))
         zero.add(t.is_zero())
     assert zero == {True, False}
+
+
+def check_maps_out_of_projectives(M):
+    """The cover, the envelope and the maps of a resolution of M against the direct versions."""
+    P, pi = projective_cover(M)
+    P_ref, pi_ref = direct_projective_cover(M)
+    assert P.summands == P_ref.summands and same_module(P.module, P_ref.module)
+    assert pi.src is P.module and pi.dst is M and same_hom(pi, pi_ref)
+    Q, iota = injective_envelope(M)
+    summands, iota_ref = direct_injective_envelope(M)
+    assert Q.alg is M.alg.opposite() and Q.summands == summands
+    assert iota.src is M and same_module(iota.dst, iota_ref.dst) and same_hom(iota, iota_ref)
+    res = min_proj_resolution(M, 2)
+    for am in res.diffs + [_transpose_alg_mat(am) for am in res.diffs]:
+        h = alg_mat_to_hom(am)
+        assert h.src is am.src.module and h.dst is am.dst.module
+        assert same_hom(h, direct_alg_mat_to_hom(am))
+    return bool(res.diffs)
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.family)
+def test_maps_out_of_projectives_equal_the_direct_loops(spec):
+    alg = build(spec)
+    rng = random.Random(13)
+    mods = [interval_module(alg, lam) for lam in alg.summands()]
+    pairs = [rng.sample(mods, 2) for _ in range(3)]
+    sums = [conjugate(rng, direct_sum_modules(pair)) for pair in pairs]
+    assert any(x.denominator != 1 for M in sums for m in M.mats.values() for row in m.data for x in row)
+    assert any([check_maps_out_of_projectives(M) for M in mods + sums])
