@@ -71,10 +71,11 @@ class Arrow(NamedTuple):
     direction: int  # 0-based coordinate being incremented
     dst: IntTuple
     shift: int
+    elt: BasisElt  # the arrow as a basis morphism, stored once by ``Arrow.of``
 
-    @property
-    def elt(self) -> BasisElt:
-        return BasisElt(self.src, self.dst, self.shift)
+    @staticmethod
+    def of(src: IntTuple, direction: int, dst: IntTuple, shift: int) -> "Arrow":
+        return Arrow(src, direction, dst, shift, BasisElt(src, dst, shift))
 
     def name(self) -> str:
         tag = f"%{self.shift:+d}" if self.shift else ""
@@ -449,7 +450,7 @@ class PresentedAlgebra(BasisAlgebra):
                 t = v[:i] + (v[i] + 1,) + v[i + 1 :]
                 if self._ambient_vertex(t):
                     rep, s = self.canonical(t)
-                    found.append(Arrow(v, i, rep, s))
+                    found.append(Arrow.of(v, i, rep, s))
         return tuple(found)
 
     # ------------------------------------------------------------------ module-level combinatorics
@@ -542,7 +543,7 @@ class OppositeAlgebra(BasisAlgebra):
         return None if res is None else res.flipped()
 
     def _arrow_list(self) -> tuple[Arrow, ...]:
-        return tuple(sorted(Arrow(a.dst, a.direction, a.src, -a.shift) for a in self.base.arrows()))
+        return tuple(sorted(Arrow.of(a.dst, a.direction, a.src, -a.shift) for a in self.base.arrows()))
 
     def __repr__(self) -> str:
         return f"Opposite({self.base!r})"

@@ -130,11 +130,11 @@ class Mat:
         unique, so this is the Gauss-Jordan result, with an int wherever an
         entry is integral.
         """
-        m = [row[:] for row in self.data]
         rows, cols = self.rows, self.cols
-        pivots: list[int] = []
         if not rows or not cols:
-            return Mat(m, rows, cols), pivots
+            return self, []
+        m = [row[:] for row in self.data]
+        pivots: list[int] = []
         if set(map(type, chain.from_iterable(m))) != _INT:
             for i, row in enumerate(m):
                 # a list, not a generator: a star-unpacked generator resizes its argument

@@ -23,6 +23,9 @@ class MatrixModule:
     def __init__(self, alg, dims: dict[IntTuple, int], mats: dict[BasisElt, Mat]):
         self.alg = alg
         self.dims = {v: dims.get(v, 0) for v in alg.vertices}
+        # the non-zero vertices in vertex order; a list, because short-lived tuples of every
+        # length pile up in CPython's tuple free lists and raise the peak memory
+        self.support = [v for v, k in self.dims.items() if k]
         self.mats = mats
         self._act_cache: dict[BasisElt, Mat] = {}
 
@@ -174,8 +177,8 @@ class ProjSum:
             self.basis_index[w] = entries
         dims = {w: len(es) for w, es in self.basis_index.items()}
         mats: dict[BasisElt, Mat] = {}
-        for a in alg.arrows():
-            if not (dims[a.src] and dims[a.dst]):
+        for a in [a for w, es in self.basis_index.items() if es for a in alg.arrows_into(w)]:
+            if not dims[a.src]:
                 continue
             e = a.elt
             m = Mat.zeros(dims[a.src], dims[a.dst])
@@ -250,11 +253,6 @@ class ModuleHom:
                     out.extend(row)
         return out
 
-    def dual(self) -> "ModuleHom":
-        """The transpose map D(dst) -> D(src) over the opposite algebra."""
-        mats = {v: m.transpose() for v, m in self.mats.items()}
-        return ModuleHom(dualize(self.dst), dualize(self.src), mats)
-
 
 def _nonempty(blocks: dict[IntTuple, Mat]) -> dict[IntTuple, Mat]:
     """The blocks of a hom that have both a row and a column."""
@@ -266,25 +264,24 @@ def hom_space(M: MatrixModule, N: MatrixModule) -> list[ModuleHom]:
 
     The unknowns are the entries of the blocks at the vertices where both
     modules are non-zero, in vertex order, and the basis is the rref basis
-    of the solutions of the naturality equations.  Each basis hom holds a
-    block at each of those vertices and nowhere else.
+    of the solutions of the naturality equations, one per arrow v -> w with
+    N(v) and M(w) non-zero.  Each basis hom holds a block at each of those
+    vertices and nowhere else.
     """
     alg = M.alg
     Md, Nd = M.dims, N.dims
     offsets: dict[IntTuple, int] = {}
     total = 0
-    for v in alg.vertices:
-        if Md[v] and Nd[v]:
+    for v in M.support:
+        if Nd[v]:
             offsets[v] = total
             total += Nd[v] * Md[v]
     if total == 0:
         return []
     rows: list[list[int | Fraction]] = []
-    for a in alg.arrows():
+    for a in [a for w in M.support for a in alg.arrows_into(w) if Nd[a.src]]:
         v, w = a.src, a.dst
         dMv, dMw, dNv, dNw = Md[v], Md[w], Nd[v], Nd[w]
-        if dNv == 0 or dMw == 0:
-            continue
         Ma, Na = M.mats.get(a.elt), N.mats.get(a.elt)
         vbase = offsets.get(v) if Ma is not None else None
         wbase = offsets.get(w) if Na is not None else None
@@ -322,15 +319,19 @@ def hom_space(M: MatrixModule, N: MatrixModule) -> list[ModuleHom]:
 
 
 def _submodule(M: MatrixModule, bases: dict[IntTuple, Mat]) -> tuple[MatrixModule, ModuleHom]:
-    """The submodule spanned at each vertex v by the columns of bases[v], and its inclusion."""
+    """The submodule spanned at each vertex v by the columns of bases[v], and its inclusion.
+
+    It lies in M's support, and it acts by the arrows with a non-zero end:
+    those out of its support, then those into it from outside.
+    """
     alg = M.alg
-    dims = {v: bases[v].cols for v in alg.vertices}
+    dims = {v: bases[v].cols for v in M.support}
+    support = [v for v in M.support if dims[v]]
+    arrows = [a for v in support for a in alg.arrows_from(v)]
+    arrows += [a for w in support for a in alg.arrows_into(w) if not dims.get(a.src)]
     mats: dict[BasisElt, Mat] = {}
-    for a in alg.arrows():
-        v, w = a.src, a.dst
-        if dims[v] == 0 and dims[w] == 0:
-            continue
-        sol = bases[v].solve(M.mat(a.elt) * bases[w])
+    for a in arrows:
+        sol = bases[a.src].solve(M.mat(a.elt) * bases[a.dst])
         if sol is None:  # pragma: no cover - callers pass arrow-stable subspaces
             raise AssertionError("subspaces are not arrow-stable")
         mats[a.elt] = sol
@@ -342,9 +343,14 @@ def kernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
     return _submodule(h.src, {v: h.mat(v).kernel_basis() for v in h.src.alg.vertices})
 
 
+def _kernel_of_dual(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
+    """ker Dh of the transpose D(h.dst) -> D(h.src) over the opposite algebra; D(h.src) is never built."""
+    return _submodule(dualize(h.dst), {v: h.mat(v).transpose().kernel_basis() for v in h.src.alg.vertices})
+
+
 def cokernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
     """The cokernel D(ker Dh) and the projection onto it, the transpose of the kernel's inclusion."""
-    K, incl = kernel_of_hom(h.dual())
+    K, incl = _kernel_of_dual(h)
     C = dualize(K)
     return C, ModuleHom(h.dst, C, {v: m.transpose() for v, m in incl.mats.items()})
 
@@ -606,25 +612,32 @@ def ext_dim_from_resolution(res: ProjResolution, N: MatrixModule, degree: int) -
     if not res.complete and len(res.terms) < degree + 2:
         raise CapExceeded(f"resolution too short for Ext^{degree}")
 
-    def offsets(j: int) -> list[int]:
-        # where each summand of P^j starts in Hom(P^j, N)
-        return list(itertools.accumulate((N.dim(u) for u in res.term_vertices(j)), initial=0))
+    Nd = N.dims
+    # offsets[j]: where each summand of P^j starts in Hom(P^j, N)
+    offsets = {
+        j: list(itertools.accumulate((Nd[u] for u in res.term_vertices(j)), initial=0))
+        for j in (degree - 1, degree, degree + 1)
+    }
 
     def delta(j: int) -> Mat:
         # induced map Hom(P^j, N) -> Hom(P^{j+1}, N)
-        src_off, dst_off = offsets(j + 1), offsets(j)
+        src_off, dst_off = offsets[j + 1], offsets[j]
         m = Mat.zeros(src_off[-1], dst_off[-1])
         if not 0 <= j < len(res.diffs):
             return m
         am = res.diffs[j]
         for (t, s), terms in am.entries.items():
-            # am: P^{j+1} -> P^j, summand s of P^{j+1} hits summand t of P^j
+            # am: P^{j+1} -> P^j, summand s of P^{j+1} hits summand t of P^j; the block
+            # is empty unless N is non-zero at both of their vertices
+            if not (Nd[am.src.summands[s]] and Nd[am.dst.summands[t]]):
+                continue
             for coeff, b in terms:
                 act = N.act(b)  # N at dst(t-summand vertex) -> N at src vertex of b
-                for r in range(act.rows):
-                    for c in range(act.cols):
-                        if act.data[r][c]:
-                            m.data[src_off[s] + r][dst_off[t] + c] += coeff * act.data[r][c]
+                for r, act_row in enumerate(act.data):
+                    row = m.data[src_off[s] + r]
+                    for c, x in enumerate(act_row, dst_off[t]):
+                        if x:
+                            row[c] += coeff * x
         return m
     d_i = delta(degree)
     d_prev = delta(degree - 1)
@@ -677,15 +690,12 @@ def domdim(alg, cap: int) -> tuple[int, bool]:
 
 
 def dualize(M: MatrixModule) -> MatrixModule:
-    """The linear dual as a module over the opposite algebra."""
-    op = M.alg.opposite()
-    dims = dict(M.dims)
-    mats: dict[BasisElt, Mat] = {}
-    for a in op.arrows():
-        m = M.mats.get(a.elt.flipped())
-        if m is not None:
-            mats[a.elt] = m.transpose()
-    return MatrixModule(op, dims, mats)
+    """The linear dual as a module over the opposite algebra.
+
+    Every key of ``M.mats`` must be an arrow: its block, transposed, is the
+    action of the flipped arrow.
+    """
+    return MatrixModule(M.alg.opposite(), M.dims, {e.flipped(): m.transpose() for e, m in M.mats.items()})
 
 
 def _transpose_alg_mat(am: AlgMat) -> AlgMat:
@@ -711,7 +721,7 @@ def tau_d(M: MatrixModule, d: int) -> MatrixModule:
     res = min_proj_resolution(X, 1)
     if not res.diffs:
         return zero_module(M.alg)
-    return kernel_of_hom(alg_mat_to_hom(_transpose_alg_mat(res.diffs[0])).dual())[0]
+    return _kernel_of_dual(alg_mat_to_hom(_transpose_alg_mat(res.diffs[0])))[0]
 
 
 def tau_d_inverse(M: MatrixModule, d: int) -> MatrixModule:
@@ -848,7 +858,7 @@ class DerivedAlgebra(BasisAlgebra):
                 if u != a and u != b
             )
             if not factors:
-                found.append(Arrow(a, 0, b, 0))
+                found.append(Arrow.of(a, 0, b, 0))
         return tuple(found)
 
     def __repr__(self) -> str:

@@ -228,8 +228,10 @@ def test_rref_examples():
     red, pivots = Mat([[0, -2, 4], [0, 3, 6]]).rref()
     assert (red.data, pivots) == ([[0, 1, 0], [0, 0, 1]], [1, 2])
     for rows, cols in ((0, 3), (2, 0), (0, 0)):
-        red, pivots = Mat.zeros(rows, cols).rref()
+        m = Mat.zeros(rows, cols)
+        red, pivots = m.rref()
         assert (red.rows, red.cols, red.data, pivots) == (rows, cols, [[]] * rows, [])
+        assert red is m  # a matrix with no row or no column is its own reduced form, not copied
 
 
 @given(small_rows(hard_entries, max_dim=6))

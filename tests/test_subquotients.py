@@ -72,9 +72,14 @@ def top_dims(M):
     return {v: k for v, k in out.items() if k}
 
 
+def dual(h):
+    """The transpose map D(h.dst) -> D(h.src) over the opposite algebra."""
+    return ModuleHom(dualize(h.dst), dualize(h.src), {v: m.transpose() for v, m in h.mats.items()})
+
+
 def nakayama_hom(am):
     """D Hom(-, A) of a map between projectives, through the transpose step of ``tau_d``."""
-    return alg_mat_to_hom(_transpose_alg_mat(am)).dual()
+    return dual(alg_mat_to_hom(_transpose_alg_mat(am)))
 
 
 def direct_cokernel(h):
