@@ -36,6 +36,7 @@ from .reps import (
     interval_module,
     is_injective,
     is_projective,
+    iso_certificate,
     loewy_length_module,
     min_inj_coresolution,
     min_proj_resolution,
@@ -111,18 +112,10 @@ class CheckReport:
 
 
 def _iso_ok(M: MatrixModule, N: MatrixModule) -> tuple[bool, str]:
-    """The verdict of ``modules_isomorphic`` and the certificate that decided it."""
-    verdict = modules_isomorphic(M, N)
-    if verdict is True:
+    """Whether ``modules_isomorphic`` certifies M ≅ N, and otherwise the certificate that decided."""
+    if modules_isomorphic(M, N) is True:
         return True, "isomorphic"
-    if verdict is None:
-        return False, "undetermined"
-    if any(M.dim(v) != N.dim(v) for v in M.alg.vertices):
-        return False, "dimension vectors differ"
-    homs = len(hom_space(M, N))
-    if homs == 0 or homs != len(hom_space(N, M)):
-        return False, "dim Hom(M, N) is 0 or differs from dim Hom(N, M)"
-    return False, "socle or top dimension vectors differ"
+    return False, iso_certificate(M, N)
 
 
 def _require_suite(spec: AlgebraSpec, name: str) -> None:

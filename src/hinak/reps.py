@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .algebras import Arrow, BasisAlgebra, BasisElt, CapExceeded, factor_into_arrows
 from .combinat import IntTuple
-from .linalg import Mat, _div, column_space_completion, hstack
+from .linalg import Mat, _div, block_diag, column_space_completion, hstack
 
 
 class MatrixModule:
@@ -55,12 +55,8 @@ class MatrixModule:
         else:
             chain = factor_into_arrows(self.alg, b)
             out = self.mat(chain[0])
-            cur = chain[0]
             for nxt in chain[1:]:
                 out = out * self.mat(nxt)
-                cur = self.alg.compose(cur, nxt)
-                if cur is None:  # pragma: no cover - factorization is a real path
-                    raise AssertionError("factorization collapsed")
         self._act_cache[b] = out
         return out
 
@@ -97,15 +93,13 @@ def zero_module(alg) -> MatrixModule:
 
 
 def direct_sum_modules(mods: Sequence[MatrixModule]) -> MatrixModule:
+    """The direct sum, holding a block for each arrow between two non-zero vertices."""
     if not mods:
         raise ValueError("empty direct sum needs an algebra")
     alg = mods[0].alg
-    from .linalg import block_diag
-
     dims = {v: sum(m.dim(v) for m in mods) for v in alg.vertices}
-    mats = {}
-    for a in alg.arrows():
-        mats[a.elt] = block_diag([m.mat(a.elt) for m in mods])
+    arrows = [a for w in alg.vertices if dims[w] for a in alg.arrows_into(w) if dims[a.src]]
+    mats = {a.elt: block_diag([m.mat(a.elt) for m in mods]) for a in arrows}
     return MatrixModule(alg, dims, mats)
 
 
@@ -483,40 +477,11 @@ def injective_envelope(M: MatrixModule) -> tuple[ProjSum, ModuleHom]:
 
 
 @dataclass
-class AlgMat:
-    """A matrix over the algebra presenting a map between sums of projectives."""
-
-    src: ProjSum
-    dst: ProjSum
-    entries: dict[tuple[int, int], list[tuple[int | Fraction, BasisElt]]]  # (dst summand, src summand)
-
-
-def hom_to_alg_mat(h: ModuleHom, src: ProjSum, dst: ProjSum) -> AlgMat:
-    entries: dict[tuple[int, int], list[tuple[int | Fraction, BasisElt]]] = {}
-    for s, u in enumerate(src.summands):
-        gen = src.generator_position(s)
-        col = h.mat(u).column(gen)
-        for i, coeff in enumerate(col):
-            if coeff:
-                t, b = dst.basis_index[u][i]
-                entries.setdefault((t, s), []).append((coeff, b))
-    return AlgMat(src, dst, entries)
-
-
-def alg_mat_to_hom(am: AlgMat) -> ModuleHom:
-    """The hom that sends generator s of am.src to the sum of coeff * (t, e) over the entries (t, s)."""
-    images = [[] for _ in am.src.summands]
-    for (t, s), terms in am.entries.items():
-        position = am.dst.basis_index[am.src.summands[s]].index
-        images[s].extend((position((t, e)), coeff) for coeff, e in terms)
-    return hom_from_generators(am.src, am.dst.module, images)
-
-
-@dataclass
 class ProjResolution:
     base: MatrixModule
     terms: list[ProjSum]
-    diffs: list[AlgMat]  # diffs[j]: terms[j+1] -> terms[j]
+    # diffs[j]: terms[j+1] -> terms[j] as the generator images hom_from_generators takes
+    diffs: list[list[list[tuple[int, int | Fraction]]]]
     syzygies: list[MatrixModule]  # syzygies[j]: syzygy j+1, the kernel of terms[j] -> syzygy j
     complete: bool
 
@@ -543,7 +508,7 @@ def min_proj_resolution(M: MatrixModule, cap: int) -> ProjResolution:
     if M.is_zero():
         return ProjResolution(M, [ProjSum(M.alg, ())], [], [], True)
     terms: list[ProjSum] = []
-    diffs: list[AlgMat] = []
+    diffs: list[list[list[tuple[int, int | Fraction]]]] = []
     syzygies: list[MatrixModule] = []
     K = M
     incl: ModuleHom | None = None  # syzygy j -> terms[j-1].module
@@ -551,7 +516,9 @@ def min_proj_resolution(M: MatrixModule, cap: int) -> ProjResolution:
         P, h = projective_cover(K)
         terms.append(P)
         if incl is not None:
-            diffs.append(hom_to_alg_mat(h.then(incl), P, terms[-2]))
+            diff = h.then(incl)
+            cols = [diff.mat(u).column(P.generator_position(s)) for s, u in enumerate(P.summands)]
+            diffs.append([[(i, c) for i, c in enumerate(col) if c] for col in cols])
         K, incl = kernel_of_hom(h)
         syzygies.append(K)
         if K.is_zero():
@@ -625,14 +592,18 @@ def ext_dim_from_resolution(res: ProjResolution, N: MatrixModule, degree: int) -
         m = Mat.zeros(src_off[-1], dst_off[-1])
         if not 0 <= j < len(res.diffs):
             return m
-        am = res.diffs[j]
-        for (t, s), terms in am.entries.items():
-            # am: P^{j+1} -> P^j, summand s of P^{j+1} hits summand t of P^j; the block
-            # is empty unless N is non-zero at both of their vertices
-            if not (Nd[am.src.summands[s]] and Nd[am.dst.summands[t]]):
+        src, dst = res.terms[j + 1], res.terms[j]
+        for s, image in enumerate(res.diffs[j]):
+            # generator s of P^{j+1} goes to (t, b) in P^j; the block of (s, t) is
+            # empty unless N is non-zero at both of their vertices
+            u = src.summands[s]
+            if not Nd[u]:
                 continue
-            for coeff, b in terms:
-                act = N.act(b)  # N at dst(t-summand vertex) -> N at src vertex of b
+            for i, coeff in image:
+                t, b = dst.basis_index[u][i]
+                if not Nd[dst.summands[t]]:
+                    continue
+                act = N.act(b)  # N at dst(t-summand vertex) -> N at u
                 for r, act_row in enumerate(act.data):
                     row = m.data[src_off[s] + r]
                     for c, x in enumerate(act_row, dst_off[t]):
@@ -698,13 +669,6 @@ def dualize(M: MatrixModule) -> MatrixModule:
     return MatrixModule(M.alg.opposite(), M.dims, {e.flipped(): m.transpose() for e, m in M.mats.items()})
 
 
-def _transpose_alg_mat(am: AlgMat) -> AlgMat:
-    """Hom(-, A) of a map between sums of projectives: the flipped matrix over the opposite algebra."""
-    op = am.src.alg.opposite()
-    entries = {(s, t): [(coeff, b.flipped()) for coeff, b in terms] for (t, s), terms in am.entries.items()}
-    return AlgMat(ProjSum(op, am.dst.summands), ProjSum(op, am.src.summands), entries)
-
-
 def tau_d(M: MatrixModule, d: int) -> MatrixModule:
     """Higher translate: the classical translate of the (d-1)-fold syzygy; zero on projectives.
 
@@ -721,7 +685,16 @@ def tau_d(M: MatrixModule, d: int) -> MatrixModule:
     res = min_proj_resolution(X, 1)
     if not res.diffs:
         return zero_module(M.alg)
-    return _kernel_of_dual(alg_mat_to_hom(_transpose_alg_mat(res.diffs[0])))[0]
+    # Hom(d_1, A): generator t of Hom(P_0, A) goes to the flipped entries of d_1 in summand t
+    P0, P1 = res.terms
+    op = M.alg.opposite()
+    src, dst = ProjSum(op, P0.summands), ProjSum(op, P1.summands)
+    images = [[] for _ in P0.summands]
+    for s, image in enumerate(res.diffs[0]):
+        for i, coeff in image:
+            t, b = P0.basis_index[P1.summands[s]][i]
+            images[t].append((dst.basis_index[P0.summands[t]].index((s, b.flipped())), coeff))
+    return _kernel_of_dual(hom_from_generators(src, dst.module, images))[0]
 
 
 def tau_d_inverse(M: MatrixModule, d: int) -> MatrixModule:
@@ -733,7 +706,12 @@ def tau_d_inverse(M: MatrixModule, d: int) -> MatrixModule:
 
 
 def modules_isomorphic(M: MatrixModule, N: MatrixModule) -> bool | None:
-    """True / False on a definite answer; None when undetermined.
+    """True / False on a definite answer; None when undetermined; see ``iso_certificate``."""
+    return {"isomorphic": True, "undetermined": None}.get(iso_certificate(M, N), False)
+
+
+def iso_certificate(M: MatrixModule, N: MatrixModule) -> str:
+    """The first exact certificate that decides whether M and N are isomorphic, or "undetermined".
 
     Four negative certificates, each exact: distinct dimension vectors; an
     empty Hom(M, N) with M non-zero, since an isomorphism would be a non-zero
@@ -748,27 +726,27 @@ def modules_isomorphic(M: MatrixModule, N: MatrixModule) -> bool | None:
     (c_1, ..., c_k), so fixing c_1 = 1 loses nothing, and when an
     isomorphism exists the Schwartz-Zippel lemma bounds a miss by
     dim M / 2^20.  A miss that no negative certificate explains is reported
-    as None.
+    as "undetermined".
     """
     if any(M.dim(v) != N.dim(v) for v in M.alg.vertices):
-        return False
+        return "dimension vectors differ"
     if M.is_zero():
-        return True
+        return "isomorphic"
     homs = hom_space(M, N)
     if not homs:
-        return False
+        return "dim Hom(M, N) is 0 or differs from dim Hom(N, M)"
     rng = random.Random(0)
     combo = homs[0]
     for h in homs[1:]:
         combo = combo.add(h.scale(rng.randint(1, 1 << 20)))
     if combo.is_iso():
-        return True
+        return "isomorphic"
     if len(hom_space(N, M)) != len(homs):
-        return False
+        return "dim Hom(M, N) is 0 or differs from dim Hom(N, M)"
     for X, Y in ((M, N), (dualize(M), dualize(N))):
         if socle_module(X)[0].dims != socle_module(Y)[0].dims:
-            return False
-    return None
+            return "socle or top dimension vectors differ"
+    return "undetermined"
 
 
 def find_isomorphic(M: MatrixModule, candidates: Iterable[tuple[object, MatrixModule]]):

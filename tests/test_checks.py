@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hinak import checks
+from hinak import checks, reps
 from hinak.algebras import AlgebraSpec, build
 from hinak.checks import (
     CheckReport,
@@ -152,5 +152,7 @@ def test_iso_ok_names_the_certificate_that_decided(monkeypatch):
     assert _iso_ok(intervals((0, 0, 0), (0, 1, 1)), intervals((0, 0, 1), (1, 1, 1))) == hom
     # a uniserial module and its composition factors: dim Hom is 1 both ways
     assert _iso_ok(U, layers) == (False, "socle or top dimension vectors differ")
-    monkeypatch.setattr(checks, "modules_isomorphic", lambda M, N: None)
+    # a certificate that misses makes modules_isomorphic answer None
+    for namespace in (reps, checks):
+        monkeypatch.setattr(namespace, "iso_certificate", lambda M, N: "undetermined")
     assert _iso_ok(U, U) == (False, "undetermined")

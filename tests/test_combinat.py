@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from hinak.algebras import AlgebraSpec, build
 from hinak.combinat import (
     KupischSeries,
@@ -56,7 +57,7 @@ def test_interlaces_length_mismatch():
 
 
 @given(os_tuples, os_tuples)
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 def test_interlacing_iff_box_stays_ordered(x, y):
     # componentwise domination plus every box point weakly increasing
     if len(x) != len(y):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from hinak import linalg
 from hinak.linalg import Mat, _div, block_diag, cokernel_projection, column_space_completion, hstack
 
@@ -20,11 +21,6 @@ hard_entries = st.one_of(
     st.integers(-9, 9),
     st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
 )
-
-
-def examples(n):
-    """n, or the loaded profile's budget when that is larger (``--hypothesis-profile=ci``)."""
-    return max(n, settings.default.max_examples)
 
 
 def small_rows(entries, max_dim=5):

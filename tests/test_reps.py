@@ -14,7 +14,6 @@ from hinak.reps import (
     StructureConstantError,
     _normalize_hom,
     _proportionality,
-    alg_mat_to_hom,
     cokernel_of_hom,
     direct_sum_modules,
     domdim,
@@ -44,7 +43,7 @@ from hinak.reps import (
     tau_d_inverse,
     zero_module,
 )
-from test_subquotients import direct_nakayama_hom, image_dims, is_epi, is_mono, naturality_violation, top_dims
+from test_subquotients import differential, direct_nakayama_hom, image_dims, is_epi, is_mono, naturality_violation, top_dims
 
 
 def A42():
@@ -234,14 +233,14 @@ def test_ext_degree_zero_from_resolution_is_hom():
 def test_resolution_differentials_compose_to_zero():
     alg = K1223()
     res = min_proj_resolution(interval_module(alg, (2, 3, 3)), 4)
-    diffs = [alg_mat_to_hom(am) for am in res.diffs]  # back from the AlgMat form
+    diffs = [differential(res, j) for j in range(len(res.diffs))]
     assert len(diffs) >= 2
     for dh in diffs:
         assert naturality_violation(dh) is None
     for d1, d2 in zip(diffs, diffs[1:]):
         assert d2.then(d1).is_zero()
     P, pi = projective_cover(res.base)
-    assert is_epi(pi) and P.summands == res.diffs[0].dst.summands
+    assert is_epi(pi) and P.summands == res.terms[0].summands
     assert diffs[0].then(pi).is_zero()
     # exact at P^0: the image of the first differential is all of the kernel of the cover
     assert sum(image_dims(diffs[0]).values()) == P.module.total_dim - res.base.total_dim
@@ -301,7 +300,7 @@ def test_tau_via_nakayama_kernel():
     alg = A42()
     lam = (1, 2, 3)
     res = min_proj_resolution(interval_module(alg, lam), 3)
-    nu_last = direct_nakayama_hom(res.diffs[-1])  # nu(P^-d) -> nu(P^-d+1)
+    nu_last = direct_nakayama_hom(res, len(res.diffs) - 1)  # nu(P^-d) -> nu(P^-d+1)
     K, _ = kernel_of_hom(nu_last)
     assert modules_isomorphic(K, tau_d(interval_module(alg, lam), 2)) is True
 

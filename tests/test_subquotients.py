@@ -19,12 +19,11 @@ from hinak.reps import (
     MatrixModule,
     ModuleHom,
     ProjSum,
-    _transpose_alg_mat,
-    alg_mat_to_hom,
     cokernel_of_hom,
     direct_sum_modules,
     dualize,
     endo_algebra,
+    hom_from_generators,
     hom_space,
     injective_envelope,
     injective_module,
@@ -77,9 +76,27 @@ def dual(h):
     return ModuleHom(dualize(h.dst), dualize(h.src), {v: m.transpose() for v, m in h.mats.items()})
 
 
-def nakayama_hom(am):
-    """D Hom(-, A) of a map between projectives, through the transpose step of ``tau_d``."""
-    return dual(alg_mat_to_hom(_transpose_alg_mat(am)))
+def differential(res, j):
+    """The map terms[j+1] -> terms[j] of a resolution, from its generator images."""
+    return hom_from_generators(res.terms[j + 1], res.terms[j].module, res.diffs[j])
+
+
+def differential_terms(res, j):
+    """(s, t, b, coeff) for each term coeff * (t, b) of the image of generator s under differential j."""
+    P, Q = res.terms[j + 1], res.terms[j]
+    return [(s, *Q.basis_index[P.summands[s]][i], coeff) for s, image in enumerate(res.diffs[j]) for i, coeff in image]
+
+
+def hom_to_algebra(res, j):
+    """Hom(d, A) of differential j: generator t of Hom(P^j, A) goes to the flipped terms in summand t."""
+    op = res.base.alg.opposite()
+    src, dst = ProjSum(op, res.terms[j].summands), ProjSum(op, res.terms[j + 1].summands)
+    return direct_hom(src, dst, [(t, s, b.flipped(), coeff) for s, t, b, coeff in differential_terms(res, j)])
+
+
+def nakayama_hom(res, j):
+    """D Hom(-, A) of differential j, the dual of its transpose over the opposite algebra."""
+    return dual(hom_to_algebra(res, j))
 
 
 def direct_cokernel(h):
@@ -104,23 +121,25 @@ def injective_sum(alg, summands):
     return dualize(P.module), index
 
 
-def direct_nakayama_hom(am):
-    alg = am.src.alg
-    src, src_index = injective_sum(alg, am.src.summands)
-    dst, dst_index = injective_sum(alg, am.dst.summands)
+def direct_nakayama_hom(res, j):
+    """nu of differential j between the injective sums, each dual basis vector sent through every term."""
+    alg = res.base.alg
+    src_summands, dst_summands = res.terms[j + 1].summands, res.terms[j].summands
+    src, src_index = injective_sum(alg, src_summands)
+    dst, dst_index = injective_sum(alg, dst_summands)
+    terms = differential_terms(res, j)
     mats = {}
     for w in alg.vertices:
         cols = src_index[w]
         rows = {key: i for i, key in enumerate(dst_index[w])}
         m = Mat.zeros(len(rows), len(cols))
-        for j, (s, c) in enumerate(cols):
-            for (t, s2), terms in am.entries.items():
+        for col, (s, c) in enumerate(cols):
+            for s2, t, b, coeff in terms:
                 if s2 != s:
                     continue
-                for coeff, b in terms:
-                    for f in alg.hom_basis(am.dst.summands[t], w):
-                        if alg.compose(b, f) == c:
-                            m.data[rows[(t, f)]][j] += coeff
+                for f in alg.hom_basis(dst_summands[t], w):
+                    if alg.compose(b, f) == c:
+                        m.data[rows[(t, f)]][col] += coeff
         mats[w] = m
     return ModuleHom(src, dst, mats)
 
@@ -155,26 +174,28 @@ def direct_injective_envelope(M):
     return tuple(v for v, _ in picks), ModuleHom(M, I, mats)
 
 
-def direct_alg_mat_to_hom(am):
-    """The hom of an AlgMat, composing each basis vector (s, b) of the source with the entries in column s."""
-    alg = am.src.alg
+def direct_hom(src, dst, terms):
+    """The hom src -> dst sending generator s to the sum of coeff * (t, e) over the terms (s, t, e, coeff).
+
+    Each basis vector (s, b) of src is composed with every term of generator s.
+    """
+    alg = src.alg
     mats = {}
     for w in alg.vertices:
-        src_cols = am.src.basis_index[w]
-        dst_rows = {key: i for i, key in enumerate(am.dst.basis_index[w])}
+        src_cols = src.basis_index[w]
+        dst_rows = {key: i for i, key in enumerate(dst.basis_index[w])}
         if not (src_cols and dst_rows):
             continue
         m = Mat.zeros(len(dst_rows), len(src_cols))
         for j, (s, b) in enumerate(src_cols):
-            for (t, s2), terms in am.entries.items():
+            for s2, t, e, coeff in terms:
                 if s2 != s:
                     continue
-                for coeff, e in terms:
-                    r = alg.compose(b, e)
-                    if r is not None:
-                        m.data[dst_rows[(t, r)]][j] += coeff
+                r = alg.compose(b, e)
+                if r is not None:
+                    m.data[dst_rows[(t, r)]][j] += coeff
         mats[w] = m
-    return ModuleHom(am.src.module, am.dst.module, mats)
+    return ModuleHom(src.module, dst.module, mats)
 
 
 def same_module(M, N):
@@ -239,9 +260,9 @@ def test_subquotients_of_conjugated_direct_sums(spec):
     for X in (S, T):
         res = min_proj_resolution(X, 2)
         assert res.diffs
-        for am in res.diffs:
-            assert naturality_violation(alg_mat_to_hom(am)) is None
-            assert same_hom(nakayama_hom(am), direct_nakayama_hom(am))
+        for j in range(len(res.diffs)):
+            assert naturality_violation(differential(res, j)) is None
+            assert same_hom(nakayama_hom(res, j), direct_nakayama_hom(res, j))
 
 
 def test_subquotients_over_an_endomorphism_algebra():
@@ -253,8 +274,8 @@ def test_subquotients_over_an_endomorphism_algebra():
         check_module(M, mods)
     res = min_proj_resolution(direct_sum_modules(mods[4:6]), 2)
     assert res.diffs
-    for am in res.diffs:
-        assert same_hom(nakayama_hom(am), direct_nakayama_hom(am))
+    for j in range(len(res.diffs)):
+        assert same_hom(nakayama_hom(res, j), direct_nakayama_hom(res, j))
 
 
 GOLDEN_SPECS = [
@@ -275,7 +296,7 @@ def transpose(X):
     res = min_proj_resolution(X, 1)
     if len(res.terms) == 1:
         return zero_module(X.alg.opposite())
-    return cokernel_of_hom(alg_mat_to_hom(_transpose_alg_mat(res.diffs[0])))[0]
+    return cokernel_of_hom(hom_to_algebra(res, 0))[0]
 
 
 def direct_tau_d(M, d):
@@ -337,10 +358,11 @@ def check_maps_out_of_projectives(M):
     assert Q.alg is M.alg.opposite() and Q.summands == summands
     assert iota.src is M and same_module(iota.dst, iota_ref.dst) and same_hom(iota, iota_ref)
     res = min_proj_resolution(M, 2)
-    for am in res.diffs + [_transpose_alg_mat(am) for am in res.diffs]:
-        h = alg_mat_to_hom(am)
-        assert h.src is am.src.module and h.dst is am.dst.module
-        assert same_hom(h, direct_alg_mat_to_hom(am))
+    for j in range(len(res.diffs)):
+        P, Q = res.terms[j + 1], res.terms[j]
+        h = differential(res, j)
+        assert h.src is P.module and h.dst is Q.module
+        assert same_hom(h, direct_hom(P, Q, differential_terms(res, j)))
     return bool(res.diffs)
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from hinak import reps
 from hinak.algebras import AlgebraSpec, CapExceeded, build
-from hinak.linalg import Mat
+from hinak.linalg import Mat, block_diag
 from hinak.reps import (
     MatrixModule,
     ModuleHom,
@@ -38,6 +38,7 @@ from hinak.reps import (
     simple_module,
 )
 from test_sparse_homs import conjugate
+from test_subquotients import differential_terms
 
 
 def full_hom_space(M, N):
@@ -85,12 +86,11 @@ def full_ext_dim_from_resolution(res, N, degree):
         src_off, dst_off = offsets(j + 1), offsets(j)
         m = Mat.zeros(src_off[-1], dst_off[-1])
         if 0 <= j < len(res.diffs):
-            for (t, s), terms in res.diffs[j].entries.items():
-                for coeff, b in terms:
-                    act = N.act(b)
-                    for r in range(act.rows):
-                        for c in range(act.cols):
-                            m.data[src_off[s] + r][dst_off[t] + c] += coeff * act.data[r][c]
+            for s, t, b, coeff in differential_terms(res, j):
+                act = N.act(b)
+                for r in range(act.rows):
+                    for c in range(act.cols):
+                        m.data[src_off[s] + r][dst_off[t] + c] += coeff * act.data[r][c]
         return m
 
     d_i, d_prev = delta(degree), delta(degree - 1)
@@ -194,13 +194,25 @@ def test_support_loops_equal_full_scans_over_an_endomorphism_algebra():
     check_modules(simples + covers)
 
 
+def test_direct_sums_store_only_the_arrows_between_two_non_zero_vertices():
+    alg = build(AlgebraSpec.linear_an(4, 2))
+    rng = random.Random(5)
+    cases = [[(0, 1, 2), (0, 1, 2)], [(0, 1, 2), (1, 2, 3), (0, 0, 1)], rng.sample(alg.summands(), 3)]
+    for lams in cases:
+        parts = [interval_module(alg, lam) for lam in lams]
+        S = direct_sum_modules(parts)
+        assert set(S.mats) == {a.elt for a in alg.arrows() if S.dim(a.src) and S.dim(a.dst)}
+        assert all(S.mat(a.elt) == block_diag([M.mat(a.elt) for M in parts]) for a in alg.arrows())
+        S.validate()
+
+
 def test_module_loops_never_scan_every_arrow():
     # each of these walks a module's support; a call of alg.arrows() would scan the whole algebra again
     tree = ast.parse(Path(reps.__file__).read_text())
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     proj_sum = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "ProjSum")
     functions["ProjSum.__post_init__"] = next(f for f in proj_sum.body if getattr(f, "name", "") == "__post_init__")
-    names = ["hom_space", "ext_dim_from_resolution", "ProjSum.__post_init__", "_submodule", "dualize"]
+    names = ["hom_space", "ext_dim_from_resolution", "ProjSum.__post_init__", "_submodule", "dualize", "direct_sum_modules"]
     scans = {
         name: [n.lineno for n in ast.walk(functions[name])
                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "arrows"]
