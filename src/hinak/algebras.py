@@ -307,9 +307,6 @@ class BasisAlgebra:
             return tuple(t), 0
         return canonical_orbit_rep(t, self.orbit_modulus)
 
-    def vertex_label(self, v: Sequence[int]) -> str:
-        return label(v)
-
     def hom_dim(self, v: Sequence[int], w: Sequence[int]) -> int:
         """Dimension of the Hom space; 0 for well-formed tuples outside the vertex set."""
         v, w = tuple(v), tuple(w)
@@ -711,33 +708,28 @@ GRADED_DIM_CAP = 64  # largest graded piece the quotient may have
 GRADED_DEG_CAP = 256  # highest degree the quotient may reach
 
 
-class QArrow(NamedTuple):
-    aid: int
-    src: object
-    dst: object
-
-
 class QuiverWithRelations:
     """A quiver with homogeneous path relations, and its graded Hom dimensions.
 
-    A relation is a list of one arrow-id path (it vanishes) or two of the
-    same length (they agree).  ``graded_hom_dims`` computes dim of every
-    graded piece of the quotient of the path algebra by the two-sided ideal
-    the relations generate, degree by degree: new relations enter only
-    through their last two slots once lower degrees are fixed, so each step
-    is a small exact cokernel.
+    Arrows are any hashable records with ``src`` and ``dst``.  A relation is
+    a list of one arrow path (it vanishes) or two of the same length (they
+    agree), the form ``relations`` and ``commutation_routes`` return.
+    ``graded_hom_dims`` computes dim of every graded piece of the quotient
+    of the path algebra by the two-sided ideal the relations generate,
+    degree by degree: new relations enter only through their last two slots
+    once lower degrees are fixed, so each step is a small exact cokernel.
     """
 
-    def __init__(self, vertices: Iterable, arrows: list[QArrow], relations: list[list[tuple]]):
+    def __init__(self, vertices: Iterable, arrows: Iterable, relations: list[list[Sequence]]):
         self.vertices = tuple(vertices)
         self.arrows = tuple(arrows)
         self.relations = tuple(relations)
-        self._into: dict[object, list[QArrow]] = {v: [] for v in self.vertices}
+        self._into: dict[object, list] = {v: [] for v in self.vertices}
         for a in self.arrows:
             self._into[a.dst].append(a)
         self._relations_into: dict[object, list] = {v: [] for v in self.vertices}
         for rel in self.relations:
-            self._relations_into[self.arrows[rel[0][-1]].dst].append(rel)
+            self._relations_into[rel[0][-1].dst].append(rel)
 
     def graded_hom_dims(self) -> dict[tuple, dict[int, int]]:
         dims: dict[tuple, dict[int, int]] = {}
@@ -750,14 +742,14 @@ class QuiverWithRelations:
     def _graded_from(self, v) -> list[dict[object, int]]:
         """Degree by degree, the nonzero dims of the quotient's paths out of v, by end vertex."""
         history: list[dict[object, int]] = [{v: 1}]
-        # mult[m][aid]: Mat sending degree-m classes at a.src to degree-(m+1) classes at a.dst
-        mult: list[dict[int, Mat]] = []
+        # mult[m][a]: Mat sending degree-m classes at a.src to degree-(m+1) classes at a.dst
+        mult: list[dict[object, Mat]] = []
         while history[-1]:
             m = len(history) - 1
             if m >= GRADED_DEG_CAP:
                 raise CapExceeded(f"degree cap {GRADED_DEG_CAP} exceeded from source {v}")
             cur = history[m]
-            step_mult: dict[int, Mat] = {}
+            step_mult: dict[object, Mat] = {}
             nxt: dict[object, int] = {}
             for u in self.vertices:
                 inc = [a for a in self._into[u] if a.src in cur]
@@ -766,10 +758,10 @@ class QuiverWithRelations:
                 # the paths into u before any new relation: one block per incoming arrow
                 total = sum(cur[a.src] for a in inc)
                 ident, off = Mat.identity(total), 0
-                embed: dict[int, Mat] = {}
+                embed: dict[object, Mat] = {}
                 for a in inc:
                     n = cur[a.src]
-                    embed[a.aid] = Mat(ident.data[off : off + n], n, total).transpose()
+                    embed[a] = Mat(ident.data[off : off + n], n, total).transpose()
                     off += n
                 upto = mult + [embed]
                 images = [self._relation_image(rel, m + 1, upto) for rel in self._relations_into[u]]
@@ -780,13 +772,13 @@ class QuiverWithRelations:
                 if proj.rows:
                     nxt[u] = proj.rows
                     for a in inc:
-                        step_mult[a.aid] = proj * embed[a.aid]
+                        step_mult[a] = proj * embed[a]
             mult.append(step_mult)
             history.append(nxt)
         return history
 
     @staticmethod
-    def _relation_image(rel, end_deg: int, mult: list[dict[int, Mat]]) -> Mat | None:
+    def _relation_image(rel, end_deg: int, mult: list[dict[object, Mat]]) -> Mat | None:
         """The image of the relation in degree end_deg, or None where it vanishes."""
         deg = end_deg - len(rel[0])
         if deg < 0:
@@ -794,8 +786,8 @@ class QuiverWithRelations:
         image = None
         for sign, path in zip((1, -1), rel):
             f = None
-            for k, aid in enumerate(path):
-                step = mult[deg + k].get(aid)
+            for k, a in enumerate(path):
+                step = mult[deg + k].get(a)
                 if step is None:
                     break
                 f = step if f is None else step * f
@@ -819,16 +811,14 @@ class MeshPresentation:
     and back via ``mesh_coordinates``.
     Arrows: b_1..b_d move within a slice (p -> p + e_i), the connecting
     arrow b_0 drops all slopes by one and advances the slice, and exists
-    exactly when p_1 > 0.  Relations: slice commutators and the mixed
-    commutators exchanging b_0 with each b_j, both with the usual zero
-    conventions at missing arrows.  ``standard_spec`` is the standard
-    presentation of the same algebra.
+    exactly when p_1 > 0; b_i is the ``Arrow`` of direction i.  Relations:
+    slice commutators and the mixed commutators exchanging b_0 with each
+    b_j, both with the usual zero conventions at missing arrows.
+    ``standard_spec`` is the standard presentation of the same algebra.
     """
 
     standard_spec: AlgebraSpec
-    vertices: tuple[MeshVertex, ...]
     quiver: QuiverWithRelations
-    arrow_index: dict[tuple[MeshVertex, int], QArrow]
 
     def to_standard(self, v: MeshVertex) -> IntTuple:
         return mesh_from_coordinates(v[0], v[1])
@@ -851,19 +841,16 @@ def mesh_presentation(d: int, bound: int | None, window: tuple[int, int]) -> Mes
     vset = set(vertices)
 
     # the arrows from the slope rule alone, by (source, direction)
-    targets: dict[tuple[MeshVertex, int], MeshVertex] = {}
+    arrows: dict[tuple[MeshVertex, int], Arrow] = {}
     for p, s in vertices:
         for i in range(1, d + 1):
             q = p[: i - 1] + (p[i - 1] + 1,) + p[i:]
             if is_os(q) and (q, s) in vset:
-                targets[((p, s), i)] = (q, s)
+                arrows[((p, s), i)] = Arrow.of((p, s), i, (q, s), 0)
         if p[0] > 0:
             q = tuple(x - 1 for x in p)
             if (q, s + 1) in vset:
-                targets[((p, s), 0)] = (q, s + 1)
-    arrow_index = {key: QArrow(k, key[0], dst) for k, (key, dst) in enumerate(targets.items())}
+                arrows[((p, s), 0)] = Arrow.of((p, s), 0, (q, s + 1), 0)
 
-    routes = commutation_routes(vertices, d + 1, lambda v, i: arrow_index.get((v, i)))
-    rels = [[tuple(qa.aid for qa in route) for route in rel] for rel in routes]
-    quiver = QuiverWithRelations(vertices, list(arrow_index.values()), rels)
-    return MeshPresentation(std_spec, vertices, quiver, arrow_index)
+    routes = commutation_routes(vertices, d + 1, lambda v, i: arrows.get((v, i)))
+    return MeshPresentation(std_spec, QuiverWithRelations(vertices, arrows.values(), routes))

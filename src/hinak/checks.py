@@ -466,8 +466,7 @@ def check_selfinjective(spec: AlgebraSpec) -> CheckReport:
 
 def check_orbit_periodicity(spec: AlgebraSpec) -> CheckReport:
     """Translate orbits on nonprojective summands close up exactly at the orbit rank."""
-    if not spec.is_orbit:
-        raise ValueError("orbit periodicity applies to the orbit families")
+    _require_suite(spec, "orbit-periodicity")
     alg = build(spec)
     d, n = alg.d, spec.n
     top = 2 * n
@@ -503,7 +502,7 @@ def check_mesh_iso(d: int, bound: int | None, window: tuple[int, int]) -> CheckR
     report = CheckReport("mesh-iso", desc)
 
     verts = report.claim("mesh.vertex_bijection")
-    images = sorted(mesh.to_standard(v) for v in mesh.vertices)
+    images = sorted(mesh.to_standard(v) for v in mesh.quiver.vertices)
     verts.record(tuple(images) == std.vertices, got=len(images), want=len(std.vertices))
 
     arrows = report.claim("mesh.arrow_bijection")
@@ -522,18 +521,12 @@ def check_mesh_iso(d: int, bound: int | None, window: tuple[int, int]) -> CheckR
                 b = std.hom_basis(v, w)[0]
                 mv, mw = mesh_coordinates(v), mesh_coordinates(w)
                 want[(mv, mw)] = {std.path_length(b): 1}
-    graded.record(got == want, got_pairs=len(got), want_pairs=len(want))
-    if got != want:
-        for key in sorted(set(got) | set(want), key=str):
-            if got.get(key) != want.get(key):
-                graded.record(
-                    False,
-                    src=str(key[0]),
-                    dst=str(key[1]),
-                    got=got.get(key),
-                    want=want.get(key),
-                )
-                break
+    if got == want:
+        graded.record(True, got_pairs=len(got), want_pairs=len(want))
+    else:
+        keys = sorted(set(got) | set(want), key=str)
+        key = next(k for k in keys if got.get(k) != want.get(k))
+        graded.record(False, src=str(key[0]), dst=str(key[1]), got=got.get(key), want=want.get(key))
 
     if bound is not None:
         serre = report.claim("mesh.serre_permutation_has_fundamental_domain")

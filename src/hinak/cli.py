@@ -34,6 +34,7 @@ USAGE_ERROR = 2
 CAP_ERROR = 3
 
 _BY_CLI_NAME = {row.cli_name: row for row in FAMILIES.values()}
+EXPORTS = {"dot": export_dot, "qpa": export_qpa, "json": export_json}
 
 
 def _tuple_flag(text: str) -> tuple[int, ...]:
@@ -59,14 +60,10 @@ def _spec_from_args(args) -> AlgebraSpec:
     return row.from_flags(args.d, *[_need(args, flag) for flag in row.cli_flags])
 
 
-class UsageError(RuntimeError):
-    pass
-
-
 def _need(args, name: str):
     if getattr(args, name) is None:
         flag = {"bound": "--l", "trunc": "--trunc"}.get(name, f"--{name}")
-        raise UsageError(f"family {args.family!r} requires {flag}")
+        raise ValueError(f"family {args.family!r} requires {flag}")
     return getattr(args, name)
 
 
@@ -74,7 +71,7 @@ def _summand(alg, t: tuple[int, ...]) -> tuple[int, ...]:
     """t, checked to index a summand; orbit families accept any tuple in its orbit."""
     t = as_os(t)
     if not alg.is_summand(alg.canonical(t)[0]):
-        raise UsageError(f"{','.join(map(str, t))} does not index a summand")
+        raise ValueError(f"{','.join(map(str, t))} does not index a summand")
     return t
 
 
@@ -87,19 +84,8 @@ def _identify_interval(alg, M) -> str:
     raise CapExceeded("module is not isomorphic to a distinguished summand")
 
 
-def cmd_build(args) -> int:
-    sys.stdout.write(export_json(build(_spec_from_args(args))))
-    return 0
-
-
 def cmd_quiver(args) -> int:
-    alg = build(_spec_from_args(args))
-    if args.format == "dot":
-        sys.stdout.write(export_dot(alg))
-    elif args.format == "qpa":
-        sys.stdout.write(export_qpa(alg))
-    else:
-        sys.stdout.write(export_json(alg))
+    sys.stdout.write(EXPORTS[args.format](build(_spec_from_args(args))))
     return 0
 
 
@@ -192,11 +178,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="emit the algebra as JSON")
     _add_family_flags(p)
-    p.set_defaults(fn=cmd_build)
+    p.set_defaults(fn=cmd_quiver, format="json")
 
     p = sub.add_parser("quiver", help="export the bound quiver")
     _add_family_flags(p)
-    p.add_argument("--format", choices=["dot", "qpa", "json"], default="dot")
+    p.add_argument("--format", choices=list(EXPORTS), default="dot")
     p.set_defaults(fn=cmd_quiver)
 
     p = sub.add_parser("ct-module", help="list the distinguished summands")
@@ -250,9 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
     except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return CAP_ERROR

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebras import Arrow, BasisAlgebra, BasisElt, CapExceeded, factor_into_arrows
+from .algebras import Arrow, BasisAlgebra, BasisElt, CapExceeded, factor_into_arrows, label
 from .combinat import IntTuple
 from .linalg import Mat, _div, block_diag, column_space_completion, hstack
 
@@ -76,7 +76,7 @@ class MatrixModule:
                     raise ValueError(f"module violates composition at {f} then {g}")
 
     def to_json(self) -> dict:
-        dims = {self.alg.vertex_label(v): k for v, k in self.dims.items() if k}
+        dims = {label(v): k for v, k in self.dims.items() if k}
         arrows = {}
         for a in self.alg.arrows():
             m = self.mat(a.elt)

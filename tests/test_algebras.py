@@ -7,7 +7,6 @@ import pytest
 from hinak.algebras import (
     AlgebraSpec,
     BasisElt,
-    QArrow,
     QuiverWithRelations,
     build,
     export_dot,
@@ -29,10 +28,7 @@ def enumerate_os(n, k):
 
 def presentation_quiver(alg):
     """The algebra's quiver with the relations the QPA export emits."""
-    aid = {a: k for k, a in enumerate(alg.arrows())}
-    arrows = [QArrow(k, a.src, a.dst) for a, k in aid.items()]
-    rels = [[tuple(aid[a] for a in path) for path in rel] for rel in relations(alg)]
-    return QuiverWithRelations(alg.vertices, arrows, rels)
+    return QuiverWithRelations(alg.vertices, alg.arrows(), relations(alg))
 
 
 def brute_interlace(x, y):
@@ -411,19 +407,20 @@ def test_commutation_relations_shape():
 def test_mesh_presentation_counts():
     mesh = mesh_presentation(1, None, (0, 4))
     std = build(AlgebraSpec.window_spec(0, 4, 2))
-    assert len(mesh.vertices) == len(std.vertices)
-    assert sorted(mesh.to_standard(v) for v in mesh.vertices) == list(std.vertices)
+    assert len(mesh.quiver.vertices) == len(std.vertices)
+    assert sorted(mesh.to_standard(v) for v in mesh.quiver.vertices) == list(std.vertices)
     mesh = mesh_presentation(2, 3, (0, 6))
     std = build(AlgebraSpec.zl_window(3, 0, 6, 3))
-    assert len(mesh.vertices) == len(std.vertices)
+    assert len(mesh.quiver.vertices) == len(std.vertices)
     assert len(mesh.quiver.arrows) == len(std.arrows())
 
 
 def test_mesh_connecting_arrow_rule():
     mesh = mesh_presentation(2, 3, (0, 6))
-    for (p, s) in mesh.vertices:
-        has_b0 = (tuple(x - 1 for x in p), s + 1) in set(mesh.vertices) and p[0] > 0
-        assert ((p, s), 0) in mesh.arrow_index or not has_b0
+    verts = set(mesh.quiver.vertices)
+    lowered = {(p, s): (tuple(x - 1 for x in p), s + 1) for (p, s) in verts}
+    want = {v: w for v, w in lowered.items() if v[0][0] > 0 and w in verts}
+    assert {a.src: a.dst for a in mesh.quiver.arrows if a.direction == 0} == want
 
 
 def test_summand_sets():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hinak import checks, reps
-from hinak.algebras import AlgebraSpec, build
+from hinak.algebras import AlgebraSpec, QuiverWithRelations, build
 from hinak.checks import (
     CheckReport,
     _iso_ok,
@@ -88,6 +88,25 @@ def test_run_suite_dispatch():
         run_suite(spec, "no-such-suite")
     with pytest.raises(ValueError):
         run_suite(AlgebraSpec.linear_an(3, 2), "mesh-iso")
+    with pytest.raises(ValueError, match="orbit-periodicity does not apply to atilde-kupisch"):
+        run_suite(AlgebraSpec.atilde_kupisch((3, 3, 2), 2), "orbit-periodicity")
+
+
+def test_mesh_iso_failure_names_the_differing_key(monkeypatch):
+    true_dims = QuiverWithRelations.graded_hom_dims
+
+    def perturbed(self):
+        dims = true_dims(self)
+        key = min(dims, key=str)
+        dims[key] = {deg: k + 1 for deg, k in dims[key].items()}
+        return dims
+
+    monkeypatch.setattr(QuiverWithRelations, "graded_hom_dims", perturbed)
+    report = check_mesh_iso(1, None, (0, 4))
+    claim = next(i for i in report.items if i.name == "mesh.graded_hom_dimensions_match")
+    assert not claim.ok and claim.checked == 1
+    assert set(claim.counterexample) == {"src", "dst", "got", "want"}
+    assert claim.counterexample["got"] != claim.counterexample["want"]
 
 
 def test_applicable_suites_cover_families():

@@ -6,6 +6,7 @@ from hinak.algebras import AlgebraSpec, build
 from hinak import cli
 from hinak.cli import main, make_parser
 from hinak.reps import ext_dim, interval_module
+from test_golden import SPECS
 
 
 def run_cli(*argv):
@@ -50,6 +51,10 @@ def test_quiver_json_matches_build():
     assert code == 0
     payload = json.loads(out)
     assert len(payload["vertices"]) == 8
+    for name, flags in SPECS.items():
+        built = run_cli("build", *flags)
+        assert built == run_cli("quiver", *flags, "--format", "json"), name
+        assert built[0] == 0 and built[1], name
 
 
 def test_hom_and_ext():
@@ -127,8 +132,13 @@ def test_orbit_canonicalize():
 def test_usage_errors():
     code, _, _ = run_cli("tau", "--family", "an", "--n", "4", "--d", "2")  # missing --module
     assert code == 2
-    code, _, _ = run_cli("check", "--family", "an", "--d", "2", "--suite", "all")  # missing --n
-    assert code == 2
+    code, _, err = run_cli("check", "--family", "an", "--d", "2", "--suite", "all")  # missing --n
+    assert code == 2 and err == "error: family 'an' requires --n\n"
+    code, out, err = run_cli(
+        "check", "--family", "atilde-kupisch", "--series", "3,3,2", "--d", "2",
+        "--suite", "orbit-periodicity",
+    )
+    assert (code, out) == (2, "") and "does not apply" in err
     code, _, _ = run_cli("quiver", "--family", "an", "--n", "4", "--d", "2", "--bogus")
     assert code == 2
     an42 = ("--family", "an", "--n", "4", "--d", "2")
