@@ -118,11 +118,6 @@ def _iso_ok(M: MatrixModule, N: MatrixModule) -> tuple[bool, str]:
     return False, iso_certificate(M, N)
 
 
-def _require_suite(spec: AlgebraSpec, name: str) -> None:
-    if name not in spec.row.suites:
-        raise ValueError(f"{name} does not apply to {spec.family}")
-
-
 # --------------------------------------------------------------------- hom / ext formulas
 
 
@@ -178,7 +173,6 @@ def check_hom_ext_formulas(spec: AlgebraSpec) -> CheckReport:
 
 def check_resolutions(spec: AlgebraSpec) -> CheckReport:
     """Projective resolutions, injective coresolutions and d-fold syzygies in closed form."""
-    _require_suite(spec, "resolutions")
     alg = build(spec)
     d = alg.d
     first, last = spec.row.entries(spec)
@@ -370,7 +364,6 @@ def check_cluster_tilting(spec: AlgebraSpec) -> CheckReport:
 
 def check_endo_tower(spec: AlgebraSpec) -> CheckReport:
     """The endomorphism algebra of the distinguished module is the next algebra up."""
-    _require_suite(spec, "endo-tower")
     alg = build(spec)
     end = endo_algebra(alg)
     target = build(replace(spec, d=spec.d + 1))
@@ -466,7 +459,6 @@ def check_selfinjective(spec: AlgebraSpec) -> CheckReport:
 
 def check_orbit_periodicity(spec: AlgebraSpec) -> CheckReport:
     """Translate orbits on nonprojective summands close up exactly at the orbit rank."""
-    _require_suite(spec, "orbit-periodicity")
     alg = build(spec)
     d, n = alg.d, spec.n
     top = 2 * n
@@ -571,7 +563,6 @@ def check_gldim(spec: AlgebraSpec) -> CheckReport:
 
 def check_hasse_tower(spec: AlgebraSpec) -> CheckReport:
     """Cluster-tilting certificates hold along the whole path up to the full series."""
-    _require_suite(spec, "hasse-tower")
     report = CheckReport("hasse-tower", spec.describe())
     for series in kupisch_hasse_path(spec.series):
         sub = AlgebraSpec.kupisch_a(series, spec.d)
@@ -596,18 +587,26 @@ SUITES = {
     "orbit-periodicity": check_orbit_periodicity,
     "gldim": check_gldim,
     "hasse-tower": check_hasse_tower,
+    # the mesh presentation of a d-family has slope tuples of length d - 1
+    "mesh-iso": lambda spec: check_mesh_iso(spec.d - 1, spec.bound, spec.window),
+    "homological-embedding": lambda spec: check_homological_embedding(spec, *spec.row.embedding(spec)),
 }
 
 
+def _inapplicable(spec: AlgebraSpec, name: str) -> str | None:
+    """Why suite ``name`` does not apply to ``spec``, or None when it does."""
+    if name not in spec.row.suites:
+        return f"{name} does not apply to {spec.family}"
+    if name == "mesh-iso" and spec.d < 2:
+        return "mesh-iso needs a zl-window spec with d >= 2"
+    if name == "homological-embedding" and spec.row.embedding(spec) is None:
+        # the top of a Hasse path has no ambient algebra to embed into
+        return "no default ambient algebra for this spec"
+    return None
+
+
 def applicable_suites(spec: AlgebraSpec) -> list[str]:
-    # the mesh presentation of a d-family has slope tuples of length d - 1, and
-    # the top of a Hasse path has no ambient algebra to embed into
-    return [
-        name
-        for name in spec.row.suites
-        if (name != "mesh-iso" or spec.d >= 2)
-        and (name != "homological-embedding" or spec.row.embedding(spec) is not None)
-    ]
+    return [name for name in spec.row.suites if _inapplicable(spec, name) is None]
 
 
 DESK_SCALE = {"n": 5, "d": 3, "bound": 4, "trunc": 6}
@@ -637,20 +636,14 @@ def warn_beyond_desk_scale(spec: AlgebraSpec) -> None:
 
 
 def run_suite(spec: AlgebraSpec, name: str) -> CheckReport:
+    """The one gate: the check functions assume a spec that it admitted."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+    why = _inapplicable(spec, name)
+    if why is not None:
+        raise ValueError(why)
     warn_beyond_desk_scale(spec)
-    if name == "homological-embedding":
-        found = spec.row.embedding(spec)
-        if not found:
-            raise ValueError("no default ambient algebra for this spec")
-        return check_homological_embedding(spec, *found)
-    if name == "mesh-iso":
-        if name not in applicable_suites(spec):
-            raise ValueError("mesh-iso needs a zl-window spec with d >= 2")
-        return check_mesh_iso(spec.d - 1, spec.bound, spec.window)
-    fn = SUITES.get(name)
-    if fn is None:
-        raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES) + ['homological-embedding', 'mesh-iso']}")
-    return fn(spec)
+    return SUITES[name](spec)
 
 
 def run_all(spec: AlgebraSpec) -> list[CheckReport]:

@@ -123,10 +123,8 @@ def interval_module(alg, lam: Sequence[int]) -> MatrixModule:
     dims = {v: len(shifts) for v, shifts in support.items()}
     pos = {v: {s: i for i, s in enumerate(shifts)} for v, shifts in support.items()}
     mats: dict[BasisElt, Mat] = {}
-    for a in alg.arrows():
+    for a in [a for w in support for a in alg.arrows_into(w) if a.src in support]:
         sv, tv = a.src, a.dst
-        if sv not in support or tv not in support:
-            continue
         m = Mat.zeros(dims[sv], dims[tv])
         for s_shift, row in pos[sv].items():
             col = pos[tv].get(s_shift + a.shift)
@@ -617,24 +615,14 @@ def ext_dim_from_resolution(res: ProjResolution, N: MatrixModule, degree: int) -
     return ker - im
 
 
-def proj_dimension(M: MatrixModule, cap: int) -> int | None:
-    """Projective dimension, or None when it exceeds the cap."""
-    if M.is_zero():
-        return 0
-    res = min_proj_resolution(M, cap)
-    if res.complete:
-        return res.length
-    return None
-
-
 def gldim(alg, cap: int) -> int | None:
     """Global dimension as the max projective dimension of the simples; None beyond cap."""
     worst = 0
     for v in alg.vertices:
-        pd = proj_dimension(simple_module(alg, v), cap)
-        if pd is None:
+        res = min_proj_resolution(simple_module(alg, v), cap)
+        if not res.complete:
             return None
-        worst = max(worst, pd)
+        worst = max(worst, res.length)
     return worst
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -86,10 +87,17 @@ def test_run_suite_dispatch():
     assert run_suite(spec, "mesh-iso").passed
     with pytest.raises(ValueError):
         run_suite(spec, "no-such-suite")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mesh-iso does not apply to linear-a"):
         run_suite(AlgebraSpec.linear_an(3, 2), "mesh-iso")
+    with pytest.raises(ValueError, match="mesh-iso needs a zl-window spec with d >= 2"):
+        run_suite(AlgebraSpec.zl_window(3, 0, 4, 1), "mesh-iso")
     with pytest.raises(ValueError, match="orbit-periodicity does not apply to atilde-kupisch"):
         run_suite(AlgebraSpec.atilde_kupisch((3, 3, 2), 2), "orbit-periodicity")
+    # a spec the gate refuses gets no desk-scale warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="hasse-tower does not apply to linear-a"):
+            run_suite(AlgebraSpec.linear_an(9, 2), "hasse-tower")
 
 
 def test_mesh_iso_failure_names_the_differing_key(monkeypatch):
@@ -109,18 +117,38 @@ def test_mesh_iso_failure_names_the_differing_key(monkeypatch):
     assert claim.counterexample["got"] != claim.counterexample["want"]
 
 
+FAMILY_SPECS = [
+    AlgebraSpec.linear_an(3, 2),
+    AlgebraSpec.kupisch_a((1, 2, 2), 2),
+    AlgebraSpec.window_spec(0, 2, 1),
+    AlgebraSpec.zl_window(3, 0, 4, 2),
+    AlgebraSpec.selfinj_atilde(2, 3, 2),
+    AlgebraSpec.atilde_kupisch((2, 3), 2),
+    AlgebraSpec.tube_trunc(2, 2, 3),
+]
+
+
 def test_applicable_suites_cover_families():
-    for spec in [
-        AlgebraSpec.linear_an(3, 2),
-        AlgebraSpec.kupisch_a((1, 2, 2), 2),
-        AlgebraSpec.window_spec(0, 2, 1),
-        AlgebraSpec.zl_window(3, 0, 4, 2),
-        AlgebraSpec.selfinj_atilde(2, 3, 2),
-        AlgebraSpec.atilde_kupisch((2, 3), 2),
-        AlgebraSpec.tube_trunc(2, 2, 3),
-    ]:
+    for spec in FAMILY_SPECS:
         names = applicable_suites(spec)
         assert "hom-ext" in names and "tau-translate" in names
+
+
+def test_run_suite_is_the_one_gate(monkeypatch):
+    assert len(checks.SUITES) == 13
+    calls = []
+    for name in list(checks.SUITES):
+        monkeypatch.setitem(checks.SUITES, name, lambda spec, name=name: calls.append((spec, name)) or name)
+    for spec in FAMILY_SPECS:
+        admitted = applicable_suites(spec)
+        for name in checks.SUITES:
+            calls.clear()
+            if name in admitted:
+                assert run_suite(spec, name) == name and calls == [(spec, name)]
+            else:
+                with pytest.raises(ValueError) as excinfo:
+                    run_suite(spec, name)
+                assert calls == [] and str(excinfo.value) == checks._inapplicable(spec, name)
 
 
 def test_run_all_on_atilde_kupisch():

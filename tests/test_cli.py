@@ -139,6 +139,12 @@ def test_usage_errors():
         "--suite", "orbit-periodicity",
     )
     assert (code, out) == (2, "") and "does not apply" in err
+    for argv in (
+        ("--family", "an", "--n", "3", "--d", "2", "--suite", "selfinjective"),
+        ("--family", "tube-trunc", "--n", "2", "--d", "2", "--trunc", "3", "--suite", "gldim"),
+    ):
+        code, out, err = run_cli("check", *argv)
+        assert (code, out) == (2, "") and "does not apply" in err, argv
     code, _, _ = run_cli("quiver", "--family", "an", "--n", "4", "--d", "2", "--bogus")
     assert code == 2
     an42 = ("--family", "an", "--n", "4", "--d", "2")
