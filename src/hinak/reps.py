@@ -159,19 +159,23 @@ class ProjSum:
     summands: tuple[IntTuple, ...]
 
     def __post_init__(self):
+        """Index the basis by walking back from each summand u through the vertices x with Hom(x, u) != 0.
+
+        This is exact: a non-identity basis morphism factors through an arrow out of its source.
+        """
         alg = self.alg
-        self.basis_index: dict[IntTuple, list[tuple[int, BasisElt]]] = {}
-        for w in alg.vertices:
-            entries = []
-            for s, u in enumerate(self.summands):
-                for b in alg.hom_basis(w, u):
-                    entries.append((s, b))
-            self.basis_index[w] = entries
+        self.basis_index: dict[IntTuple, list[tuple[int, BasisElt]]] = {w: [] for w in alg.vertices}
+        for s, u in enumerate(self.summands):
+            seen, stack = {u}, [u]
+            while stack:
+                x = stack.pop()
+                self.basis_index[x] += [(s, b) for b in alg.hom_basis(x, u)]
+                new = {a.src for a in alg.arrows_into(x)} - seen
+                seen |= new
+                stack += [y for y in new if alg.hom_basis(y, u)]
         dims = {w: len(es) for w, es in self.basis_index.items()}
         mats: dict[BasisElt, Mat] = {}
-        for a in [a for w, es in self.basis_index.items() if es for a in alg.arrows_into(w)]:
-            if not dims[a.src]:
-                continue
+        for a in [a for w, es in self.basis_index.items() if es for a in alg.arrows_into(w) if dims[a.src]]:
             e = a.elt
             m = Mat.zeros(dims[a.src], dims[a.dst])
             rows = {key: i for i, key in enumerate(self.basis_index[a.src])}
@@ -287,12 +291,13 @@ def hom_space(M: MatrixModule, N: MatrixModule) -> list[ModuleHom]:
                     for k in range(dMv):
                         x = Ma.data[k][j]
                         if x:
-                            row[base + k] += x
+                            row[base + k] = x
                 if wbase is not None:
-                    Na_i = Na.data[i]
-                    for l in range(dNw):
-                        if Na_i[l]:
-                            row[wbase + l * dMw + j] -= Na_i[l]
+                    # the Ma entries can share this row's indices only on a loop v == w
+                    for l, y in enumerate(Na.data[i]):
+                        if y:
+                            c = wbase + l * dMw + j
+                            row[c] = row[c] - y if row[c] else -y
                 if any(row):
                     rows.append(row)
     if rows:
@@ -352,7 +357,6 @@ def cokernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
 
 def radical_spanning_columns(M: MatrixModule, v) -> Mat:
     cols = [M.mat(a.elt) for a in M.alg.arrows_from(v) if M.dim(a.dst)]
-    cols = [m for m in cols if m.cols]
     if not cols:
         return Mat.zeros(M.dim(v), 0)
     return hstack(cols)
@@ -405,15 +409,26 @@ def hom_from_generators(
 ) -> ModuleHom:
     """The hom P -> M that sends the generator of summand s of P to images[s] in M at P.summands[s].
 
-    ``images[s]`` lists the (index, coefficient) pairs of that vector.  By
-    Yoneda the basis vector (s, b) of P at w goes to M.act(b) applied to images[s].
+    ``images[s]`` lists the (index, coefficient) pairs of that vector.  By Yoneda the
+    basis vector (s, b) of P goes to b applied to images[s]: if factor_into_arrows(b) is
+    [a, *rest], to M.mat(a) times the column of (s, rest), which this call computes once.
     """
+    cols = {(s, ()): [0] * M.dims[u] for s, u in enumerate(P.summands)}
+    for s, image in enumerate(images):
+        for i, c in image:
+            cols[s, ()][i] = c
+
+    def column(s: int, chain: tuple[BasisElt, ...]) -> list[int | Fraction]:
+        if (s, chain) not in cols:
+            nonzero = [(k, y) for k, y in enumerate(column(s, chain[1:])) if y]
+            cols[s, chain] = [sum([row[k] * y for k, y in nonzero if row[k]]) for row in M.mat(chain[0]).data]
+        return cols[s, chain]
+
     mats = {}
     for w, entries in P.basis_index.items():
-        if not (entries and M.dims[w]):
-            continue
-        cols = [[sum(c * row[i] for i, c in images[s] if row[i]) for row in M.act(b).data] for s, b in entries]
-        mats[w] = Mat([list(row) for row in zip(*cols)], M.dims[w], len(cols))
+        if entries and M.dims[w]:
+            out = [column(s, tuple(factor_into_arrows(M.alg, b))) for s, b in entries]
+            mats[w] = Mat([list(row) for row in zip(*out)], M.dims[w], len(out))
     return ModuleHom(P.module, M, mats)
 
 
@@ -834,7 +849,7 @@ class DerivedAlgebra(BasisAlgebra):
 def _entry_pairs(h: ModuleHom, rep: ModuleHom):
     """The entries of two parallel homs side by side, in vertex order; a missing block reads as zeros."""
     zeros = itertools.repeat(itertools.repeat(0))
-    for v in h.src.alg.vertices:
+    for v in h.src.support:
         a, b = h.mats.get(v), rep.mats.get(v)
         if a is not None or b is not None:
             for row_a, row_b in zip(zeros if a is None else a.data, zeros if b is None else b.data):

@@ -44,6 +44,7 @@ from hinak.reps import (
     zero_module,
 )
 from test_subquotients import differential, direct_nakayama_hom, image_dims, is_epi, is_mono, naturality_violation, top_dims
+from test_support import GOLDEN_SPECS
 
 
 def A42():
@@ -680,6 +681,34 @@ def test_orbit_inverse_translate_roundtrip():
             continue
         assert modules_isomorphic(tau_d_inverse(tau_d(M, 2), 2), M) is True
         assert modules_isomorphic(tau_d(tau_d_inverse(M, 2), 2), M) is True
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.describe()["family"])
+def test_higher_translates_invert_each_other_on_summands(spec):
+    # Iyama's d-AR translation: tau_d^- tau_d M = M off the projectives, tau_d tau_d^- N = N off the injectives
+    alg = build(spec)
+    for lam in alg.summands():
+        M = interval_module(alg, lam)
+        if not is_projective(M):
+            assert modules_isomorphic(tau_d_inverse(tau_d(M, alg.d), alg.d), M) is True
+        if not is_injective(M):
+            assert modules_isomorphic(tau_d(tau_d_inverse(M, alg.d), alg.d), M) is True
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [AlgebraSpec.linear_an(4, 2), AlgebraSpec.linear_an(5, 3), AlgebraSpec.tube_trunc(2, 2, 4),
+     AlgebraSpec.selfinj_atilde(3, 3, 2)],
+    ids=["an-4-2", "an-5-3", "tube-trunc", "selfinj-atilde"],
+)
+def test_dominant_dimension_of_end_follows_the_first_self_extension(spec):
+    # Mueller: for a generator-cogenerator M, domdim End(M) >= k + 2 iff Ext^i(M, M) = 0 for 1 <= i <= k
+    alg = build(spec)
+    mods = [interval_module(alg, lam) for lam in alg.summands()]
+    cap = alg.d + 1
+    resolutions = [min_proj_resolution(M, cap) for M in mods]
+    first = next(i for i in range(1, cap) if any(ext_dim_from_resolution(r, N, i) for r in resolutions for N in mods))
+    assert domdim(endo_algebra(alg), cap) == (1 + first, True)
 
 
 def test_reps_imports_no_spec_policy():

@@ -7,6 +7,10 @@ vertex and arrow of the algebra.  The functions below are the full scans:
 each reads every vertex or arrow.  The two must agree entry for entry, on
 the summands of the golden specs, on direct sums under dense rational base
 changes, and on simples and covers over an endomorphism algebra.
+
+``hom_from_generators`` builds each column as one matrix-vector product on
+the column of a shorter chain, and ``ProjSum`` walks back from its summands;
+``act_hom_from_generators`` and ``full_proj_sum`` are the loops they replaced.
 """
 
 import ast
@@ -30,12 +34,14 @@ from hinak.reps import (
     dualize,
     endo_algebra,
     ext_dim_from_resolution,
+    hom_from_generators,
     hom_space,
     interval_module,
     min_proj_resolution,
     projective_cover,
     radical_spanning_columns,
     simple_module,
+    syzygy_module,
 )
 from test_sparse_homs import conjugate
 from test_subquotients import differential_terms
@@ -112,6 +118,37 @@ def full_proj_sum(alg, summands):
                 m.data[rows[(s, comp)]][col] = 1
         mats[a.elt] = m
     return index, mats
+
+
+def act_hom_from_generators(P, M, images):
+    """The hom of generator images with one product of arrow matrices, M.act(b), per basis morphism b."""
+    mats = {}
+    for w, entries in P.basis_index.items():
+        if not (entries and M.dims[w]):
+            continue
+        cols = [[sum(c * row[i] for i, c in images[s] if row[i]) for row in M.act(b).data] for s, b in entries]
+        mats[w] = Mat([list(row) for row in zip(*cols)], M.dims[w], len(cols))
+    return ModuleHom(P.module, M, mats)
+
+
+def check_generator_images(mods, rng):
+    """hom_from_generators against M.act on each module, its cover, its syzygy and its dual.
+
+    The images are those of the projective cover, then dense rational vectors
+    into a sum that repeats each summand of the cover.
+    """
+    for X in mods:
+        for M in (X, projective_cover(X)[0].module, syzygy_module(X), dualize(X)):
+            if M.is_zero():
+                continue
+            P, cover = projective_cover(M)
+            units = [cover.mat(u).column(P.generator_position(s)) for s, u in enumerate(P.summands)]
+            cases = [(P, [[(i, c) for i, c in enumerate(col) if c] for col in units])]
+            Q = ProjSum(M.alg, P.summands * 2)
+            dense = [[(i, Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for i in range(M.dim(u))] for u in Q.summands]
+            cases.append((Q, dense))
+            for src, images in cases:
+                assert hom_from_generators(src, M, images).mats == act_hom_from_generators(src, M, images).mats
 
 
 def full_submodule(M, bases):
@@ -192,6 +229,54 @@ def test_support_loops_equal_full_scans_over_an_endomorphism_algebra():
     simples = [simple_module(E, v) for v in E.vertices]
     covers = [projective_cover(S)[0].module for S in simples[::3]]
     check_modules(simples + covers)
+
+
+def test_support_loops_equal_full_scans_over_an_algebra_with_a_loop():
+    # on a loop the naturality equation of hom_space writes both of its terms into one block
+    rng = random.Random(29)
+    alg = build(AlgebraSpec.selfinj_atilde(1, 3, 1))
+    mods = [interval_module(alg, lam) for lam in alg.summands()]
+    mods += [conjugate(rng, direct_sum_modules(mods[:2])), conjugate(rng, mods[-1])]
+    assert any(a.src == a.dst for a in alg.arrows())
+    check_modules(mods)
+    check_generator_images(mods, rng)
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.describe()["family"])
+def test_generator_images_equal_the_act_loop_on_golden_summands(spec):
+    alg = build(spec)
+    check_generator_images([interval_module(alg, lam) for lam in alg.summands()], random.Random(13))
+
+
+def test_generator_images_equal_the_act_loop_under_rational_base_change():
+    rng = random.Random(17)
+    alg = build(AlgebraSpec.linear_an(4, 2))
+    mods = []
+    for lams in [[(0, 1, 2), (0, 1, 2)], [(0, 1, 2), (1, 2, 3), (0, 1, 3)], rng.sample(alg.summands(), 3)]:
+        mods.append(conjugate(rng, direct_sum_modules([interval_module(alg, lam) for lam in lams])))
+    assert any(type(x) is Fraction for M in mods for m in M.mats.values() for row in m.data for x in row)
+    check_generator_images(mods, rng)
+
+
+def test_generator_images_equal_the_act_loop_over_an_endomorphism_algebra():
+    E = endo_algebra(build(AlgebraSpec.linear_an(4, 2)))
+    simples = [simple_module(E, v) for v in E.vertices]
+    check_generator_images(simples + [projective_cover(S)[0].module for S in simples], random.Random(19))
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [build(spec) for spec in GOLDEN_SPECS] + [endo_algebra(build(AlgebraSpec.linear_an(4, 2)))],
+    ids=[s.describe()["family"] for s in GOLDEN_SPECS] + ["endo-linear-a"],
+)
+def test_proj_sum_walk_equals_the_all_vertex_loop(alg):
+    rng = random.Random(23)
+    for A in (alg, alg.opposite()):
+        vertices = list(A.vertices)
+        for summands in [vertices, vertices[::-1] + vertices[:3], rng.choices(vertices, k=8), vertices[:1] * 3]:
+            P = ProjSum(A, tuple(summands))
+            index, mats = full_proj_sum(A, P.summands)
+            assert P.basis_index == index and P.module.mats == mats
 
 
 def test_direct_sums_store_only_the_arrows_between_two_non_zero_vertices():
