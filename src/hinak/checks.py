@@ -344,6 +344,8 @@ def check_cluster_tilting(spec: AlgebraSpec) -> CheckReport:
         closure.record(
             omega_d.is_zero() or find_isomorphic(omega_d, mods.items()) is not None, lam=lam
         )
+    # nothing reads the resolutions again; the End certificate below is the memory peak
+    del resolutions
 
     endo = report.claim("ct.endomorphism_algebra_certificate")
     try:

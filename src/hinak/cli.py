@@ -116,13 +116,13 @@ def cmd_ext(args) -> int:
     alg = build(spec)
     lam, mu = _summand(alg, args.src), _summand(alg, args.dst)
     val = ext_dim(interval_module(alg, lam), interval_module(alg, mu), args.degree)
-    sys.stdout.write(f"{val}\n")
     if spec.row.truncated:
-        # a truncated value stands only if it survives d + 1 more Loewy layers
+        # a truncated value is written only if it survives d + 1 more Loewy layers
         up = build(replace(spec, bound=spec.bound + spec.d + 1))
         if ext_dim(interval_module(up, lam), interval_module(up, mu), args.degree) != val:
             sys.stderr.write("extension dimension did not stabilize across truncations\n")
             return CAP_ERROR
+    sys.stdout.write(f"{val}\n")
     return 0
 
 

@@ -648,16 +648,15 @@ def domdim(alg, cap: int) -> tuple[int, bool]:
     k.  A coresolution that terminates with every term projective forces an
     unbounded dominant dimension, reported as (cap + 1, False).
     """
-    cores = min_inj_coresolution(ProjSum(alg, tuple(alg.vertices)).module, cap)
-    count = 0
-    for P in cores.terms:
-        if is_projective(dualize(P.module)):
-            count += 1
-        else:
-            return count, True
-    if cores.complete:
-        return cap + 1, False
-    return count, False
+    X = ProjSum(alg, tuple(alg.vertices)).module
+    for k in range(cap + 1):
+        P, h = injective_envelope(X)
+        X, _ = cokernel_of_hom(h)
+        if not is_projective(dualize(P.module)):
+            return k, True
+        if X.is_zero():
+            break
+    return cap + 1, False
 
 
 # ---------------------------------------------------------------------- duality, transpose, translates
@@ -778,45 +777,44 @@ class DerivedAlgebra(BasisAlgebra):
 
     Hom spaces are computed by exact linear algebra, normalized so that the
     first nonzero matrix entry of each basis hom is 1, and composition is
-    tabulated.  The result satisfies the same contract as a presented
-    algebra (0/1-dimensional Hom spaces with monomial composition), so the
-    whole homological toolkit applies to it.
+    tabulated; only the tables are kept, not the modules or homs.  The
+    result satisfies the same contract as a presented algebra
+    (0/1-dimensional Hom spaces with monomial composition), so the whole
+    homological toolkit applies to it.
     """
 
     def __init__(self, base_alg, lams: Sequence[IntTuple]):
         super().__init__(sorted(tuple(t) for t in lams))
         if len(self._vset) != len(self.vertices):
             raise ValueError("duplicate summand labels")
-        self.base_alg = base_alg
         self.d = len(self.vertices[0])
         mods = {t: interval_module(base_alg, t) for t in self.vertices}
-        self.modules = mods
-        self._reps: dict[tuple[IntTuple, IntTuple], ModuleHom] = {}
+        reps: dict[tuple[IntTuple, IntTuple], ModuleHom] = {}
         for a in self.vertices:
             for b in self.vertices:
                 homs = hom_space(mods[a], mods[b])
                 if len(homs) > 1:
                     raise StructureConstantError(f"Hom({a},{b}) has dimension {len(homs)} > 1")
                 if homs:
-                    self._reps[(a, b)] = _normalize_hom(homs[0])
+                    reps[(a, b)] = _normalize_hom(homs[0])
         self._comp: dict[tuple[IntTuple, IntTuple, IntTuple], BasisElt | None] = {}
-        for (a, b), f in self._reps.items():
+        for (a, b), f in reps.items():
             for c in self.vertices:
-                g = self._reps.get((b, c))
+                g = reps.get((b, c))
                 if g is None:
                     continue
                 composite = f.then(g)
                 if composite.is_zero():
                     self._comp[(a, b, c)] = None
                     continue
-                rep = self._reps.get((a, c))
+                rep = reps.get((a, c))
                 if rep is None:
                     raise StructureConstantError(f"nonzero composite outside Hom({a},{c})")
                 coeff = _proportionality(composite, rep)
                 if coeff != 1:
                     raise StructureConstantError(f"structure constant {coeff} at ({a},{b},{c})")
                 self._comp[(a, b, c)] = BasisElt(a, c, 0)
-        self._hom_memo = {(a, b): (BasisElt(a, b, 0),) for (a, b) in self._reps}
+        self._hom_memo = {(a, b): (BasisElt(a, b, 0),) for (a, b) in reps}
 
     def hom_basis(self, v, w) -> tuple[BasisElt, ...]:
         return self._hom_memo.get((tuple(v), tuple(w)), ())
@@ -828,12 +826,12 @@ class DerivedAlgebra(BasisAlgebra):
 
     def _arrow_list(self) -> tuple[Arrow, ...]:
         found = []
-        for (a, b) in sorted(self._reps):
+        for (a, b) in sorted(self._hom_memo):
             if a == b:
                 continue
             factors = any(
-                (a, u) in self._reps
-                and (u, b) in self._reps
+                (a, u) in self._hom_memo
+                and (u, b) in self._hom_memo
                 and self._comp.get((a, u, b)) is not None
                 for u in self.vertices
                 if u != a and u != b

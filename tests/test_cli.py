@@ -225,7 +225,7 @@ def test_ext_exit_codes_on_orbit_families():
         "--family", "tube-trunc", "--n", "2", "--d", "2", "--trunc", "4",
         "--from", "0,0,0", "--to", "0,3,3", "--degree", "2",
     )
-    assert (code, out) == (3, "0\n") and "did not stabilize" in err
+    assert (code, out) == (3, "") and "did not stabilize" in err
     code, out, err = run_cli(
         "ext",
         "--family", "selfinj-atilde", "--n", "3", "--l", "3", "--d", "2",
@@ -252,9 +252,15 @@ def test_tube_ext_matches_the_two_level_reference():
         for mu in lams:
             val, stable = two_level_ext(spec, lam, mu, 2)
             code, out, _ = run_cli(*flags, "--from", ",".join(map(str, lam)), "--to", ",".join(map(str, mu)))
-            assert (code, out) == (0 if stable else 3, f"{val}\n")
+            assert (code, out) == ((0, f"{val}\n") if stable else (3, ""))
             stabilized.add(stable)
     assert stabilized == {True, False}
+    # at trunc 5 the value 0 changes further up: the exit is 3 and no answer is written
+    spec = AlgebraSpec.tube_trunc(2, 2, 5)
+    assert two_level_ext(spec, (0, 0, 3), (0, 3, 3), 2) == (0, False)
+    flags[flags.index("--trunc") + 1] = "5"
+    code, out, err = run_cli(*flags, "--from", "0,0,3", "--to", "0,3,3")
+    assert (code, out) == (3, "") and "did not stabilize" in err
 
 
 def test_hom_on_orbit_family():

@@ -1,16 +1,19 @@
 import ast
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hinak import reps
-from hinak.algebras import AlgebraSpec, build
+from hinak.algebras import AlgebraSpec, BasisAlgebra, build
 from hinak.cli import main
 from hinak.combinat import box_interval, interlaces, loewy_len
 from hinak.reps import (
     CapExceeded,
+    MatrixModule,
     ModuleHom,
+    ProjSum,
     StructureConstantError,
     _normalize_hom,
     _proportionality,
@@ -44,6 +47,7 @@ from hinak.reps import (
     zero_module,
 )
 from test_subquotients import differential, direct_nakayama_hom, image_dims, is_epi, is_mono, naturality_violation, top_dims
+from test_sparse_homs import normalized_reps
 from test_support import GOLDEN_SPECS
 
 
@@ -348,6 +352,34 @@ def test_domdim_with_every_term_projective_up_to_the_cap_is_a_lower_bound():
     assert domdim(alg, 1) == (2, False)
 
 
+def listed_domdim(alg, cap):
+    """The reference for ``domdim``: the whole coresolution of A is kept, then its leading projective terms counted."""
+    cores = min_inj_coresolution(ProjSum(alg, tuple(alg.vertices)).module, cap)
+    count = 0
+    for P in cores.terms:
+        if is_projective(dualize(P.module)):
+            count += 1
+        else:
+            return count, True
+    if cores.complete:
+        return cap + 1, False
+    return count, False
+
+
+def test_streamed_domdim_equals_the_listed_coresolution():
+    ends = [endo_algebra(build(spec)) for spec in (
+        AlgebraSpec.linear_an(4, 2), AlgebraSpec.linear_an(5, 3),
+        AlgebraSpec.selfinj_atilde(3, 3, 2), AlgebraSpec.tube_trunc(2, 2, 4))]
+    answers = set()
+    # on K1223 the coresolution goes on past its first non-projective term, where the stream stops
+    for alg in [*ends, build(AlgebraSpec.selfinj_atilde(3, 3, 2)), A42(), K1223()]:
+        for cap in range(alg.d + 3):
+            got = domdim(alg, cap)
+            assert got == listed_domdim(alg, cap), (alg, cap)
+            answers.add(got[1])
+    assert answers == {True, False}
+
+
 def test_syzygies_at_zero_and_past_the_last_term():
     M = interval_module(A42(), (1, 2, 2))
     full = min_proj_resolution(M, 4)
@@ -434,6 +466,19 @@ def test_endo_algebra_supports_homology():
     assert value >= 3
 
 
+def test_endo_algebra_keeps_only_its_tables():
+    # the modules, basis homs and base algebra End is built from are dropped once its tables are filled
+    end = endo_algebra(build(AlgebraSpec.linear_an(4, 2)))
+    held = [
+        name
+        for name, value in vars(end).items()
+        for x in [value, *(value.values() if isinstance(value, dict) else ())]
+        if isinstance(x, (MatrixModule, ModuleHom, BasisAlgebra))
+    ]
+    assert held == []
+    assert end._hom_memo and end._comp
+
+
 def test_structure_constants_stay_exact():
     # a / b on two ints is a float; the structure-constant check must see Fraction(1, 2), not 0.5
     alg = build(AlgebraSpec.linear_an(4, 2))
@@ -492,13 +537,15 @@ def test_structure_constants_match_flatten_reference():
     checked = 0
     for alg in (build(AlgebraSpec.linear_an(4, 2)), K1223()):
         end = endo_algebra(alg)
-        mods = end.modules
+        mods = {t: interval_module(alg, t) for t in end.vertices}
         for h in (h for a in end.vertices for b in end.vertices for h in hom_space(mods[a], mods[b])):
             _agree(h)
             _agree(h.scale(3))
-        for (a, b), f in end._reps.items():
+        reps = normalized_reps(alg, end.vertices)
+        assert reps.keys() == end._hom_memo.keys()
+        for (a, b), f in reps.items():
             for c in end.vertices:
-                g, rep = end._reps.get((b, c)), end._reps.get((a, c))
+                g, rep = reps.get((b, c)), reps.get((a, c))
                 if g is None or rep is None:
                     continue
                 composite = f.then(g)
@@ -693,6 +740,21 @@ def test_higher_translates_invert_each_other_on_summands(spec):
             assert modules_isomorphic(tau_d_inverse(tau_d(M, alg.d), alg.d), M) is True
         if not is_injective(M):
             assert modules_isomorphic(tau_d(tau_d_inverse(M, alg.d), alg.d), M) is True
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.describe()["family"])
+def test_ext_over_the_opposite_algebra_swaps_the_duals(spec):
+    # D is a duality mod A -> mod A^op, so Ext^i_A(M, N) = Ext^i_{A^op}(DN, DM)
+    alg = build(spec)
+    top = alg.d + 1
+    mods = [interval_module(alg, lam) for lam in alg.summands()]
+    duals = [dualize(M) for M in mods]
+    res = [min_proj_resolution(M, top + 1) for M in mods]
+    res_op = [min_proj_resolution(DM, top + 1) for DM in duals]
+    for (M, DM, r), (N, DN, r_op) in itertools.product(zip(mods, duals, res), zip(mods, duals, res_op)):
+        assert len(hom_space(M, N)) == len(hom_space(DN, DM))
+        for i in range(1, top + 1):
+            assert ext_dim_from_resolution(r, N, i) == ext_dim_from_resolution(r_op, DM, i), (M, N, i)
 
 
 @pytest.mark.parametrize(

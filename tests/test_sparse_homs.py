@@ -17,6 +17,7 @@ from hinak.linalg import Mat
 from hinak.reps import (
     MatrixModule,
     ModuleHom,
+    _normalize_hom,
     direct_sum_modules,
     endo_algebra,
     hom_space,
@@ -140,13 +141,22 @@ def test_sparse_homs_equal_dense_under_rational_base_change():
     assert any(x.denominator != 1 for S, C in sums[:2] for h in hom_space(C, S) for x in h.flatten())
 
 
+def normalized_reps(alg, summands):
+    """The normalized basis homs between the interval modules, built as ``endo_algebra`` builds (and drops) them."""
+    mods = {t: interval_module(alg, t) for t in summands}
+    pairs = ((a, b, hom_space(mods[a], mods[b])) for a in summands for b in summands)
+    return {(a, b): _normalize_hom(homs[0]) for a, b, homs in pairs if homs}
+
+
 def test_endo_algebra_composition_equals_dense_reference(monkeypatch):
     alg = build(AlgebraSpec.linear_an(4, 2))
     sparse = endo_algebra(alg)
+    sparse_reps = normalized_reps(alg, sparse.vertices)
     monkeypatch.setattr(ModuleHom, "then", dense_then)
     monkeypatch.setattr(ModuleHom, "is_zero", dense_is_zero)
     monkeypatch.setattr(ModuleHom, "flatten", dense_flatten)
     dense = endo_algebra(alg)
+    dense_reps = normalized_reps(alg, dense.vertices)
     assert sparse._comp == dense._comp
-    assert sparse._reps.keys() == dense._reps.keys()
-    assert all(same_hom(sparse._reps[key], dense._reps[key]) for key in sparse._reps)
+    assert sparse_reps.keys() == dense_reps.keys() == sparse._hom_memo.keys() == dense._hom_memo.keys()
+    assert all(same_hom(sparse_reps[key], dense_reps[key]) for key in sparse_reps)
