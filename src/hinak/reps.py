@@ -159,36 +159,39 @@ class ProjSum:
     summands: tuple[IntTuple, ...]
 
     def __post_init__(self):
-        """Index the basis by walking back from each summand u through the vertices x with Hom(x, u) != 0.
-
-        This is exact: a non-identity basis morphism factors through an arrow out of its source.
-        """
+        """Index the basis by the walk back from each summand, then write each arrow's 0/1 matrix."""
         alg = self.alg
         self.basis_index: dict[IntTuple, list[tuple[int, BasisElt]]] = {w: [] for w in alg.vertices}
         for s, u in enumerate(self.summands):
-            seen, stack = {u}, [u]
-            while stack:
-                x = stack.pop()
-                self.basis_index[x] += [(s, b) for b in alg.hom_basis(x, u)]
-                new = {a.src for a in alg.arrows_into(x)} - seen
-                seen |= new
-                stack += [y for y in new if alg.hom_basis(y, u)]
-        dims = {w: len(es) for w, es in self.basis_index.items()}
+            for x, basis in _walk_back(alg, u):
+                self.basis_index[x] += [(s, b) for b in basis]
+        row_of = {w: {key: i for i, key in enumerate(es)} for w, es in self.basis_index.items() if es}
         mats: dict[BasisElt, Mat] = {}
-        for a in [a for w, es in self.basis_index.items() if es for a in alg.arrows_into(w) if dims[a.src]]:
-            e = a.elt
-            m = Mat.zeros(dims[a.src], dims[a.dst])
-            rows = {key: i for i, key in enumerate(self.basis_index[a.src])}
-            for col, (s, b) in enumerate(self.basis_index[a.dst]):
-                comp = alg.compose(e, b)
+        for a in [a for w in row_of for a in alg.arrows_into(w) if a.src in row_of]:
+            rows, cols = row_of[a.src], self.basis_index[a.dst]
+            data = [[0] * len(cols) for _ in rows]
+            for col, (s, b) in enumerate(cols):
+                comp = alg.compose(a.elt, b)
                 if comp is not None:
-                    m.data[rows[(s, comp)]][col] = 1
-            mats[e] = m
-        self.module = MatrixModule(alg, dims, mats)
+                    data[rows[(s, comp)]][col] = 1
+            mats[a.elt] = Mat(data, len(rows), len(cols))
+        self.module = MatrixModule(alg, {w: len(es) for w, es in self.basis_index.items()}, mats)
 
     def generator_position(self, s: int) -> int:
         u = self.summands[s]
         return self.basis_index[u].index((s, self.alg.identity(u)))
+
+
+def _walk_back(alg, u: IntTuple):
+    """(x, Hom(x, u)) for each x with Hom(x, u) != 0, walked back from u through the arrows into x:
+    exact, since a non-identity basis morphism factors through an arrow out of its source."""
+    seen, stack = {u}, [u]
+    while stack:
+        x = stack.pop()
+        yield x, alg.hom_basis(x, u)
+        new = {a.src for a in alg.arrows_into(x)} - seen
+        seen |= new
+        stack += [y for y in new if alg.hom_basis(y, u)]
 
 
 # ---------------------------------------------------------------------- module homomorphisms
@@ -340,14 +343,15 @@ def kernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
     return _submodule(h.src, {v: h.mat(v).kernel_basis() for v in h.src.alg.vertices})
 
 
-def _kernel_of_dual(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
-    """ker Dh of the transpose D(h.dst) -> D(h.src) over the opposite algebra; D(h.src) is never built."""
-    return _submodule(dualize(h.dst), {v: h.mat(v).transpose().kernel_basis() for v in h.src.alg.vertices})
+def _kernel_of_dual(h: ModuleHom, dual_dst: MatrixModule | None = None) -> tuple[MatrixModule, ModuleHom]:
+    """ker Dh in D(h.dst), over the opposite algebra, or in dual_dst if the caller holds D(h.dst)."""
+    DN = dualize(h.dst) if dual_dst is None else dual_dst
+    return _submodule(DN, {v: h.mat(v).transpose().kernel_basis() for v in h.src.alg.vertices})
 
 
-def cokernel_of_hom(h: ModuleHom) -> tuple[MatrixModule, ModuleHom]:
-    """The cokernel D(ker Dh) and the projection onto it, the transpose of the kernel's inclusion."""
-    K, incl = _kernel_of_dual(h)
+def cokernel_of_hom(h: ModuleHom, dual_dst: MatrixModule | None = None) -> tuple[MatrixModule, ModuleHom]:
+    """The cokernel D(ker Dh) and its projection; an injective envelope (P, h) passes P.module as D(h.dst)."""
+    K, incl = _kernel_of_dual(h, dual_dst)
     C = dualize(K)
     return C, ModuleHom(h.dst, C, {v: m.transpose() for v, m in incl.mats.items()})
 
@@ -432,23 +436,23 @@ def hom_from_generators(
     return ModuleHom(P.module, M, mats)
 
 
+def _top_generators(M: MatrixModule) -> list[tuple[IntTuple, int]]:
+    """(vertex, index of a basis vector there) for a basis of the top of M, in vertex order."""
+    return [(v, j) for v in M.support for j in column_space_completion(radical_spanning_columns(M, v))]
+
+
 def projective_cover(M: MatrixModule) -> tuple[ProjSum, ModuleHom]:
     """The projective cover P -> M, sending the generators of P to a basis of the top of M."""
-    gens: list[tuple[IntTuple, int]] = []  # (vertex, index of the top basis vector there)
-    for v in M.alg.vertices:
-        if M.dim(v) == 0:
-            continue
-        rad = radical_spanning_columns(M, v)
-        gens.extend((v, j) for j in column_space_completion(rad))
+    gens = _top_generators(M)
     P = ProjSum(M.alg, tuple(v for v, _ in gens))
     return P, hom_from_generators(P, M, [[(j, 1)] for _, j in gens])
 
 
 def is_projective(M: MatrixModule) -> bool:
-    if M.is_zero():
-        return True
-    P, _ = projective_cover(M)
-    return P.module.total_dim == M.total_dim
+    """Whether the projective cover has the dimension of M, counted from the top of M; no cover is built."""
+    gens = _top_generators(M)
+    dim_p = {v: sum(len(basis) for _, basis in _walk_back(M.alg, v)) for v in {v for v, _ in gens}}
+    return sum(dim_p[v] for v, _ in gens) == M.total_dim
 
 
 def is_injective(M: MatrixModule) -> bool:
@@ -558,7 +562,7 @@ def min_inj_coresolution(M: MatrixModule, cap: int) -> InjCoresolution:
     for step in range(cap + 1):
         P, h = injective_envelope(X)
         terms.append(P)
-        X, _ = cokernel_of_hom(h)
+        X, _ = cokernel_of_hom(h, P.module)
         if X.is_zero():
             return InjCoresolution(M, terms, True)
     return InjCoresolution(M, terms, False)
@@ -594,16 +598,16 @@ def ext_dim_from_resolution(res: ProjResolution, N: MatrixModule, degree: int) -
 
     Nd = N.dims
     # offsets[j]: where each summand of P^j starts in Hom(P^j, N)
-    offsets = {
-        j: list(itertools.accumulate((Nd[u] for u in res.term_vertices(j)), initial=0))
-        for j in (degree - 1, degree, degree + 1)
-    }
+    offsets = {j: [0] for j in (degree - 1, degree, degree + 1)}
+    for j, off in offsets.items():
+        for u in res.term_vertices(j):
+            off.append(off[-1] + Nd[u])
 
     def delta(j: int) -> Mat:
         # induced map Hom(P^j, N) -> Hom(P^{j+1}, N)
         src_off, dst_off = offsets[j + 1], offsets[j]
         m = Mat.zeros(src_off[-1], dst_off[-1])
-        if not 0 <= j < len(res.diffs):
+        if not (m.rows and m.cols and 0 <= j < len(res.diffs)):
             return m
         src, dst = res.terms[j + 1], res.terms[j]
         for s, image in enumerate(res.diffs[j]):
@@ -651,8 +655,9 @@ def domdim(alg, cap: int) -> tuple[int, bool]:
     X = ProjSum(alg, tuple(alg.vertices)).module
     for k in range(cap + 1):
         P, h = injective_envelope(X)
-        X, _ = cokernel_of_hom(h)
-        if not is_projective(dualize(P.module)):
+        X, injective = cokernel_of_hom(h, P.module)[0], h.dst
+        del P, h  # the envelope and the previous cokernel are not read again
+        if not is_projective(injective):
             return k, True
         if X.is_zero():
             break
@@ -797,6 +802,7 @@ class DerivedAlgebra(BasisAlgebra):
                     raise StructureConstantError(f"Hom({a},{b}) has dimension {len(homs)} > 1")
                 if homs:
                     reps[(a, b)] = _normalize_hom(homs[0])
+        self._hom_memo = {(a, b): (BasisElt(a, b, 0),) for (a, b) in reps}
         self._comp: dict[tuple[IntTuple, IntTuple, IntTuple], BasisElt | None] = {}
         for (a, b), f in reps.items():
             for c in self.vertices:
@@ -813,8 +819,7 @@ class DerivedAlgebra(BasisAlgebra):
                 coeff = _proportionality(composite, rep)
                 if coeff != 1:
                     raise StructureConstantError(f"structure constant {coeff} at ({a},{b},{c})")
-                self._comp[(a, b, c)] = BasisElt(a, c, 0)
-        self._hom_memo = {(a, b): (BasisElt(a, b, 0),) for (a, b) in reps}
+                self._comp[(a, b, c)] = self._hom_memo[(a, c)][0]
 
     def hom_basis(self, v, w) -> tuple[BasisElt, ...]:
         return self._hom_memo.get((tuple(v), tuple(w)), ())

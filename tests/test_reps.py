@@ -1,5 +1,6 @@
 import ast
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from hinak.reps import (
     zero_module,
 )
 from test_subquotients import differential, direct_nakayama_hom, image_dims, is_epi, is_mono, naturality_violation, top_dims
-from test_sparse_homs import normalized_reps
+from test_sparse_homs import conjugate, normalized_reps
 from test_support import GOLDEN_SPECS
 
 
@@ -352,12 +353,17 @@ def test_domdim_with_every_term_projective_up_to_the_cap_is_a_lower_bound():
     assert domdim(alg, 1) == (2, False)
 
 
+def covers_projective(M):
+    """The reference for ``is_projective``: the projective cover is built and its dimension compared."""
+    return projective_cover(M)[0].module.total_dim == M.total_dim
+
+
 def listed_domdim(alg, cap):
     """The reference for ``domdim``: the whole coresolution of A is kept, then its leading projective terms counted."""
     cores = min_inj_coresolution(ProjSum(alg, tuple(alg.vertices)).module, cap)
     count = 0
     for P in cores.terms:
-        if is_projective(dualize(P.module)):
+        if covers_projective(dualize(P.module)):
             count += 1
         else:
             return count, True
@@ -378,6 +384,60 @@ def test_streamed_domdim_equals_the_listed_coresolution():
             assert got == listed_domdim(alg, cap), (alg, cap)
             answers.add(got[1])
     assert answers == {True, False}
+
+
+def projectivity_corpus():
+    """Modules on both sides of the line: golden summands, their syzygies and duals, modules over End of an(4,2)
+    (its simples and the terms of the coresolution domdim walks), conjugated rational sums, and a projective
+    plus a non-projective."""
+    mods = []
+    for spec in GOLDEN_SPECS:
+        alg = build(spec)
+        for lam in alg.summands():
+            M = interval_module(alg, lam)
+            mods += [M, syzygy_module(M), dualize(M)]
+    end = endo_algebra(A42())
+    mods += [simple_module(end, v) for v in end.vertices]
+    cores = min_inj_coresolution(ProjSum(end, end.vertices).module, end.d + 2)
+    mods += [dualize(P.module) for P in cores.terms]
+    alg, rng = A42(), random.Random(31)
+    for lams in [[(0, 1, 2), (0, 1, 2)], [(0, 1, 2), (1, 2, 3), (0, 1, 3)], rng.sample(alg.summands(), 3)]:
+        mods.append(conjugate(rng, direct_sum_modules([interval_module(alg, lam) for lam in lams])))
+    mods.append(direct_sum_modules([projective_module(alg, (1, 2)), interval_module(alg, (1, 2, 3))]))
+    return mods
+
+
+def test_projectivity_by_counting_equals_the_built_cover():
+    verdicts = [(is_projective(M), covers_projective(M)) for M in projectivity_corpus()]
+    assert [got for got, _ in verdicts] == [want for _, want in verdicts]
+    assert {got for got, _ in verdicts} == {True, False}
+    assert verdicts[-1] == (False, False)  # the projective summand does not make the sum projective
+
+
+def test_projectivity_by_counting_builds_no_projective_sum(monkeypatch):
+    built = []
+    post_init = ProjSum.__post_init__
+    monkeypatch.setattr(ProjSum, "__post_init__", lambda self: built.append(self.summands) or post_init(self))
+    for spec in GOLDEN_SPECS:
+        alg = build(spec)
+        for lam in alg.summands():
+            is_projective(interval_module(alg, lam))
+            is_injective(interval_module(alg, lam))
+    assert built == []
+    projective_cover(interval_module(A42(), (1, 2, 3)))
+    assert len(built) == 1  # the counter sees a cover when one is built
+
+
+def test_envelope_cokernel_reads_the_projective_sum_as_the_dual_of_its_codomain():
+    end = endo_algebra(A42())
+    mods = [simple_module(end, v) for v in end.vertices] + [ProjSum(end, end.vertices).module]
+    for spec in GOLDEN_SPECS[:3]:
+        alg = build(spec)
+        mods += [interval_module(alg, lam) for lam in alg.summands()]
+    for M in mods:
+        P, h = injective_envelope(M)
+        (C, p), (ref, ref_p) = cokernel_of_hom(h, P.module), cokernel_of_hom(h)
+        assert (C.dims, C.mats, p.mats) == (ref.dims, ref.mats, ref_p.mats)
 
 
 def test_syzygies_at_zero_and_past_the_last_term():
@@ -464,6 +524,19 @@ def test_endo_algebra_supports_homology():
     assert gldim(end, 4) <= 3
     value, _ = domdim(end, 3)
     assert value >= 3
+
+
+def test_endo_algebra_composites_are_its_basis_elements():
+    # each non-zero composite is the basis element End already holds for its Hom space, not an equal copy
+    end = endo_algebra(A42())
+    composites = 0
+    for f in end.all_basis():
+        for g in [g for c in end.vertices for g in end.hom_basis(f.dst, c)]:
+            comp = end.compose(f, g)
+            if comp is not None:
+                assert comp is end.hom_basis(f.src, g.dst)[0]
+                composites += 1
+    assert composites > len(end.vertices)
 
 
 def test_endo_algebra_keeps_only_its_tables():

@@ -297,7 +297,7 @@ def test_module_loops_never_scan_every_arrow():
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     proj_sum = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "ProjSum")
     functions["ProjSum.__post_init__"] = next(f for f in proj_sum.body if getattr(f, "name", "") == "__post_init__")
-    names = ["hom_space", "ext_dim_from_resolution", "ProjSum.__post_init__", "_submodule", "dualize",
+    names = ["hom_space", "ext_dim_from_resolution", "ProjSum.__post_init__", "_walk_back", "_submodule", "dualize",
              "direct_sum_modules", "interval_module"]
     scans = {
         name: [n.lineno for n in ast.walk(functions[name])
