@@ -283,7 +283,8 @@ class BasisAlgebra:
         self._arrows: tuple[Arrow, ...] | None = None
         self._arrow_tables: tuple[dict, dict] | None = None
         self._factor_cache: dict[BasisElt, list[BasisElt]] = {}
-        self._proj_cache: dict = {}  # vertex -> indecomposable projective module
+        self._proj_cache: dict = {}  # vertex -> (basis index, module) of the indecomposable projective
+        self._proj_blocks: dict = {}  # the arrow blocks of those modules, one Mat per distinct block
         self._inj_cache: dict = {}  # vertex -> indecomposable injective module
         # hom_basis and compose memos of subclasses that compute them; sound because
         # an algebra is never mutated after construction

@@ -26,6 +26,8 @@ def _div(x: int | Fraction, p: int | Fraction) -> int | Fraction:
 
 
 _INT = {int}
+# the one matrix of each shape with no row or no column: it has no entry, so sharing it is safe
+_EMPTY: dict[tuple[int, int], "Mat"] = {}
 
 
 class Mat:
@@ -53,7 +55,13 @@ class Mat:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat([[0] * cols for _ in range(rows)], rows, cols)
+        """A new zero matrix, or the shared one of its shape when it has no row or no column."""
+        if rows and cols:
+            return Mat([[0] * cols for _ in range(rows)], rows, cols)
+        m = _EMPTY.get((rows, cols))
+        if m is None:
+            m = _EMPTY[rows, cols] = Mat([[] for _ in range(rows)], rows, cols)
+        return m
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -188,16 +196,17 @@ class Mat:
     def kernel_basis(self) -> "Mat":
         """Columns form the canonical rref basis of the right null space."""
         red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        if len(pivots) == self.cols:
+            return Mat.zeros(self.cols, 0)
+        if not pivots:
+            return Mat.identity(self.cols)
         basis = []
-        for fc in free:
+        for fc in [c for c in range(self.cols) if c not in pivots]:
             v = [0] * self.cols
             v[fc] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -red.data[r][fc]
             basis.append(v)
-        if not basis:
-            return Mat([[] for _ in range(self.cols)], self.cols, 0) if self.cols else Mat([], 0, 0)
         return Mat([list(col) for col in zip(*basis)], self.cols, len(basis))
 
     def solve(self, rhs: "Mat") -> "Mat | None":
@@ -238,19 +247,6 @@ def hstack(mats: Sequence[Mat]) -> Mat:
         raise ValueError("row mismatch in hstack")
     data = [sum((m.data[i] for m in mats), []) for i in range(rows)]
     return Mat(data, rows, sum(m.cols for m in mats))
-
-
-def block_diag(mats: Sequence[Mat]) -> Mat:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = Mat.zeros(rows, cols)
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            out.data[r0 + i][c0 : c0 + m.cols] = m.data[i][:]
-        r0 += m.rows
-        c0 += m.cols
-    return out
 
 
 def cokernel_projection(m: Mat) -> Mat:

@@ -16,21 +16,22 @@ from typing import Iterable, Sequence
 
 from .algebras import Arrow, BasisAlgebra, BasisElt, CapExceeded, factor_into_arrows, label
 from .combinat import IntTuple
-from .linalg import Mat, _div, block_diag, column_space_completion, hstack
+from .linalg import Mat, _div, column_space_completion, hstack
 
 
 class MatrixModule:
     def __init__(self, alg, dims: dict[IntTuple, int], mats: dict[BasisElt, Mat]):
         self.alg = alg
-        self.dims = {v: dims.get(v, 0) for v in alg.vertices}
-        # the non-zero vertices in vertex order; a list, because short-lived tuples of every
-        # length pile up in CPython's tuple free lists and raise the peak memory
-        self.support = [v for v, k in self.dims.items() if k]
+        # only the non-zero vertices, in vertex order: read dims.get(v, 0)
+        self.dims = {v: dims[v] for v in alg.vertices if dims.get(v)}
+        # a list, because short-lived tuples of every length pile up in CPython's tuple free
+        # lists and raise the peak memory
+        self.support = list(self.dims)
         self.mats = mats
         self._act_cache: dict[BasisElt, Mat] = {}
 
-    def dim(self, v) -> int:
-        return self.dims.get(tuple(v), 0)
+    def dim(self, v: IntTuple) -> int:
+        return self.dims.get(v, 0)
 
     @property
     def total_dim(self) -> int:
@@ -42,7 +43,7 @@ class MatrixModule:
     def mat(self, arrow_elt: BasisElt) -> Mat:
         m = self.mats.get(arrow_elt)
         if m is None:
-            return Mat.zeros(self.dim(arrow_elt.src), self.dim(arrow_elt.dst))
+            return Mat.zeros(self.dims.get(arrow_elt.src, 0), self.dims.get(arrow_elt.dst, 0))
         return m
 
     def act(self, b: BasisElt) -> Mat:
@@ -76,7 +77,7 @@ class MatrixModule:
                     raise ValueError(f"module violates composition at {f} then {g}")
 
     def to_json(self) -> dict:
-        dims = {label(v): k for v, k in self.dims.items() if k}
+        dims = {label(v): k for v, k in self.dims.items()}
         arrows = {}
         for a in self.alg.arrows():
             m = self.mat(a.elt)
@@ -97,9 +98,18 @@ def direct_sum_modules(mods: Sequence[MatrixModule]) -> MatrixModule:
     if not mods:
         raise ValueError("empty direct sum needs an algebra")
     alg = mods[0].alg
-    dims = {v: sum(m.dim(v) for m in mods) for v in alg.vertices}
-    arrows = [a for w in alg.vertices if dims[w] for a in alg.arrows_into(w) if dims[a.src]]
-    mats = {a.elt: block_diag([m.mat(a.elt) for m in mods]) for a in arrows}
+    dims: dict[IntTuple, int] = {}
+    starts = []  # starts[i][v]: the first row of mods[i] at v
+    for M in mods:
+        starts.append({v: dims.get(v, 0) for v in M.support})
+        for v, k in M.dims.items():
+            dims[v] = dims.get(v, 0) + k
+    arrows = [a for w in alg.vertices if w in dims for a in alg.arrows_into(w) if a.src in dims]
+    mats = {a.elt: Mat.zeros(dims[a.src], dims[a.dst]) for a in arrows}
+    for M, start in zip(mods, starts):
+        for e, m in M.mats.items():
+            for i, row in enumerate(m.data if m.cols else (), start[e.src]):
+                mats[e].data[i][start[e.dst] : start[e.dst] + m.cols] = row
     return MatrixModule(alg, dims, mats)
 
 
@@ -135,16 +145,13 @@ def interval_module(alg, lam: Sequence[int]) -> MatrixModule:
 
 
 def projective_module(alg: BasisAlgebra, v) -> MatrixModule:
-    v = alg.require_vertex(v)
-    if v not in alg._proj_cache:
-        alg._proj_cache[v] = ProjSum(alg, (v,)).module
-    return alg._proj_cache[v]
+    return _indecomposable(alg, alg.require_vertex(v))[1]
 
 
 def injective_module(alg: BasisAlgebra, v) -> MatrixModule:
     v = alg.require_vertex(v)
     if v not in alg._inj_cache:
-        alg._inj_cache[v] = dualize(ProjSum(alg.opposite(), (v,)).module)
+        alg._inj_cache[v] = dualize(projective_module(alg.opposite(), v))
     return alg._inj_cache[v]
 
 
@@ -159,27 +166,46 @@ class ProjSum:
     summands: tuple[IntTuple, ...]
 
     def __post_init__(self):
-        """Index the basis by the walk back from each summand, then write each arrow's 0/1 matrix."""
-        alg = self.alg
-        self.basis_index: dict[IntTuple, list[tuple[int, BasisElt]]] = {w: [] for w in alg.vertices}
-        for s, u in enumerate(self.summands):
-            for x, basis in _walk_back(alg, u):
-                self.basis_index[x] += [(s, b) for b in basis]
-        row_of = {w: {key: i for i, key in enumerate(es)} for w, es in self.basis_index.items() if es}
-        mats: dict[BasisElt, Mat] = {}
-        for a in [a for w in row_of for a in alg.arrows_into(w) if a.src in row_of]:
-            rows, cols = row_of[a.src], self.basis_index[a.dst]
-            data = [[0] * len(cols) for _ in rows]
-            for col, (s, b) in enumerate(cols):
-                comp = alg.compose(a.elt, b)
-                if comp is not None:
-                    data[rows[(s, comp)]][col] = 1
-            mats[a.elt] = Mat(data, len(rows), len(cols))
-        self.module = MatrixModule(alg, {w: len(es) for w, es in self.basis_index.items()}, mats)
+        """The cached P_u of one summand, or the direct sum of those of several.
+
+        ``basis_index[w]`` lists the basis of the sum at w as pairs (summand, basis morphism w -> u),
+        only where the sum is non-zero.
+        """
+        parts = [_indecomposable(self.alg, u) for u in self.summands]
+        if len(parts) == 1:
+            self.basis_index, self.module = parts[0]
+            return
+        self.basis_index: dict[IntTuple, list[tuple[int, BasisElt]]] = {}
+        for s, (index, _) in enumerate(parts):
+            for w, entries in index.items():
+                self.basis_index.setdefault(w, []).extend([(s, b) for _, b in entries])
+        self.module = direct_sum_modules([P for _, P in parts]) if parts else zero_module(self.alg)
 
     def generator_position(self, s: int) -> int:
         u = self.summands[s]
         return self.basis_index[u].index((s, self.alg.identity(u)))
+
+
+def _indecomposable(alg, u: IntTuple) -> tuple[dict[IntTuple, list[tuple[int, BasisElt]]], MatrixModule]:
+    """The basis index of P_u as a one-summand sum, and P_u with the 0/1 matrix of each arrow
+    between two vertices of its support; built once per algebra."""
+    if u not in alg._proj_cache:
+        index = {x: [(0, b) for b in basis] for x, basis in _walk_back(alg, u)}
+        row_of = {x: {b: i for i, (_, b) in enumerate(entries)} for x, entries in index.items()}
+        mats: dict[BasisElt, Mat] = {}
+        for a in [a for w in index for a in alg.arrows_into(w) if a.src in index]:
+            rows, cols = row_of[a.src], index[a.dst]
+            data = [[0] * len(cols) for _ in rows]
+            for col, (_, b) in enumerate(cols):
+                comp = alg.compose(a.elt, b)
+                if comp is not None:
+                    data[rows[comp]][col] = 1
+            key = tuple(map(tuple, data))
+            if key not in alg._proj_blocks:
+                alg._proj_blocks[key] = Mat(data, len(rows), len(cols))
+            mats[a.elt] = alg._proj_blocks[key]
+        alg._proj_cache[u] = index, MatrixModule(alg, {x: len(entries) for x, entries in index.items()}, mats)
+    return alg._proj_cache[u]
 
 
 def _walk_back(alg, u: IntTuple):
@@ -209,11 +235,10 @@ class ModuleHom:
     dst: MatrixModule
     mats: dict[IntTuple, Mat]
 
-    def mat(self, v) -> Mat:
-        v = tuple(v)
+    def mat(self, v: IntTuple) -> Mat:
         m = self.mats.get(v)
         if m is None:
-            return Mat.zeros(self.dst.dim(v), self.src.dim(v))
+            return Mat.zeros(self.dst.dims.get(v, 0), self.src.dims.get(v, 0))
         return m
 
     def then(self, nxt: "ModuleHom") -> "ModuleHom":
@@ -242,11 +267,10 @@ class ModuleHom:
     def flatten(self) -> list[int | Fraction]:
         """The blocks in vertex order, row by row, with the zeros of missing blocks written out."""
         out: list[int | Fraction] = []
-        src, dst = self.src.dims, self.dst.dims
         for v in self.src.alg.vertices:
             m = self.mats.get(v)
             if m is None:
-                out.extend([0] * (dst[v] * src[v]))
+                out.extend([0] * (self.dst.dim(v) * self.src.dim(v)))
             else:
                 for row in m.data:
                     out.extend(row)
@@ -272,15 +296,15 @@ def hom_space(M: MatrixModule, N: MatrixModule) -> list[ModuleHom]:
     offsets: dict[IntTuple, int] = {}
     total = 0
     for v in M.support:
-        if Nd[v]:
+        if v in Nd:
             offsets[v] = total
             total += Nd[v] * Md[v]
     if total == 0:
         return []
     rows: list[list[int | Fraction]] = []
-    for a in [a for w in M.support for a in alg.arrows_into(w) if Nd[a.src]]:
+    for a in [a for w in M.support for a in alg.arrows_into(w) if a.src in Nd]:
         v, w = a.src, a.dst
-        dMv, dMw, dNv, dNw = Md[v], Md[w], Nd[v], Nd[w]
+        dMv, dMw, dNv = Md.get(v, 0), Md[w], Nd[v]
         Ma, Na = M.mats.get(a.elt), N.mats.get(a.elt)
         vbase = offsets.get(v) if Ma is not None else None
         wbase = offsets.get(w) if Na is not None else None
@@ -417,7 +441,7 @@ def hom_from_generators(
     basis vector (s, b) of P goes to b applied to images[s]: if factor_into_arrows(b) is
     [a, *rest], to M.mat(a) times the column of (s, rest), which this call computes once.
     """
-    cols = {(s, ()): [0] * M.dims[u] for s, u in enumerate(P.summands)}
+    cols = {(s, ()): [0] * M.dim(u) for s, u in enumerate(P.summands)}
     for s, image in enumerate(images):
         for i, c in image:
             cols[s, ()][i] = c
@@ -430,7 +454,7 @@ def hom_from_generators(
 
     mats = {}
     for w, entries in P.basis_index.items():
-        if entries and M.dims[w]:
+        if w in M.dims:
             out = [column(s, tuple(factor_into_arrows(M.alg, b))) for s, b in entries]
             mats[w] = Mat([list(row) for row in zip(*out)], M.dims[w], len(out))
     return ModuleHom(P.module, M, mats)
@@ -451,8 +475,7 @@ def projective_cover(M: MatrixModule) -> tuple[ProjSum, ModuleHom]:
 def is_projective(M: MatrixModule) -> bool:
     """Whether the projective cover has the dimension of M, counted from the top of M; no cover is built."""
     gens = _top_generators(M)
-    dim_p = {v: sum(len(basis) for _, basis in _walk_back(M.alg, v)) for v in {v for v, _ in gens}}
-    return sum(dim_p[v] for v, _ in gens) == M.total_dim
+    return sum(_indecomposable(M.alg, v)[1].total_dim for v, _ in gens) == M.total_dim
 
 
 def is_injective(M: MatrixModule) -> bool:
@@ -597,38 +620,31 @@ def ext_dim_from_resolution(res: ProjResolution, N: MatrixModule, degree: int) -
         raise CapExceeded(f"resolution too short for Ext^{degree}")
 
     Nd = N.dims
-    # offsets[j]: where each summand of P^j starts in Hom(P^j, N)
-    offsets = {j: [0] for j in (degree - 1, degree, degree + 1)}
-    for j, off in offsets.items():
-        for u in res.term_vertices(j):
-            off.append(off[-1] + Nd[u])
+    # N's dimension at each generator of P^(degree - 1), P^degree and P^(degree + 1)
+    low, mid, high = ([Nd.get(u, 0) for u in res.term_vertices(j)] for j in (degree - 1, degree, degree + 1))
 
-    def delta(j: int) -> Mat:
-        # induced map Hom(P^j, N) -> Hom(P^{j+1}, N)
-        src_off, dst_off = offsets[j + 1], offsets[j]
-        m = Mat.zeros(src_off[-1], dst_off[-1])
-        if not (m.rows and m.cols and 0 <= j < len(res.diffs)):
+    def delta(j: int, cols: list[int], rows: list[int]) -> Mat:
+        # induced map Hom(P^j, N) -> Hom(P^{j+1}, N); the block of generators (s, t) is empty
+        # unless N is non-zero at both of their vertices
+        m = Mat.zeros(sum(rows), sum(cols))
+        if not (m.rows and m.cols):
             return m
-        src, dst = res.terms[j + 1], res.terms[j]
-        for s, image in enumerate(res.diffs[j]):
-            # generator s of P^{j+1} goes to (t, b) in P^j; the block of (s, t) is
-            # empty unless N is non-zero at both of their vertices
-            u = src.summands[s]
-            if not Nd[u]:
-                continue
-            for i, coeff in image:
-                t, b = dst.basis_index[u][i]
-                if not Nd[dst.summands[t]]:
-                    continue
-                act = N.act(b)  # N at dst(t-summand vertex) -> N at u
-                for r, act_row in enumerate(act.data):
-                    row = m.data[src_off[s] + r]
-                    for c, x in enumerate(act_row, dst_off[t]):
-                        if x:
-                            row[c] += coeff * x
+        # both terms exist, so diffs[j] does: generator s of P^{j+1} goes to (t, b) in P^j
+        P, col_off = res.terms[j], list(itertools.accumulate(cols, initial=0))
+        starts = itertools.accumulate(rows, initial=0)
+        for u, r0, k, image in zip(res.terms[j + 1].summands, starts, rows, res.diffs[j]):
+            for i, coeff in image if k else ():
+                t, b = P.basis_index[u][i]
+                if cols[t]:
+                    for r, act_row in enumerate(N.act(b).data, r0):  # N at P.summands[t] -> N at u
+                        row = m.data[r]
+                        for c, x in enumerate(act_row, col_off[t]):
+                            if x:
+                                row[c] += coeff * x
         return m
-    d_i = delta(degree)
-    d_prev = delta(degree - 1)
+
+    d_i = delta(degree, mid, high)
+    d_prev = delta(degree - 1, low, mid)
     ker = d_i.cols - d_i.rank() if d_i.cols else 0
     im = d_prev.rank()
     return ker - im
@@ -735,7 +751,7 @@ def iso_certificate(M: MatrixModule, N: MatrixModule) -> str:
     dim M / 2^20.  A miss that no negative certificate explains is reported
     as "undetermined".
     """
-    if any(M.dim(v) != N.dim(v) for v in M.alg.vertices):
+    if M.dims != N.dims:
         return "dimension vectors differ"
     if M.is_zero():
         return "isomorphic"

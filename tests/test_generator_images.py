@@ -102,9 +102,8 @@ def alg_mat_ext_dim(res: ProjResolution, N: MatrixModule, degree: int) -> int:
     """dim Ext^degree(M, N) from a resolution whose differentials are AlgMats."""
     if not res.complete and len(res.terms) < degree + 2:
         raise CapExceeded(f"resolution too short for Ext^{degree}")
-    Nd = N.dims
     offsets = {
-        j: list(itertools.accumulate((Nd[u] for u in res.term_vertices(j)), initial=0))
+        j: list(itertools.accumulate((N.dim(u) for u in res.term_vertices(j)), initial=0))
         for j in (degree - 1, degree, degree + 1)
     }
 
@@ -115,7 +114,7 @@ def alg_mat_ext_dim(res: ProjResolution, N: MatrixModule, degree: int) -> int:
             return m
         am = res.diffs[j]
         for (t, s), terms in am.entries.items():
-            if not (Nd[am.src.summands[s]] and Nd[am.dst.summands[t]]):
+            if not (N.dim(am.src.summands[s]) and N.dim(am.dst.summands[t])):
                 continue
             for coeff, b in terms:
                 for r, act_row in enumerate(N.act(b).data):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import examples
 from hinak import linalg
-from hinak.linalg import Mat, _div, block_diag, cokernel_projection, column_space_completion, hstack
+from hinak.linalg import Mat, _div, cokernel_projection, column_space_completion, hstack
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 # ints, Fractions, and Fractions whose denominator is 1, all in one matrix
@@ -101,12 +101,36 @@ def test_construction_checks_shape():
     assert (Mat([], 0, 5).rows, Mat([], 0, 5).cols) == (0, 5)
 
 
+def test_empty_zero_matrices_are_shared_and_stay_empty():
+    # an empty matrix has no entry to change, so Mat.zeros hands out one instance per shape;
+    # a non-empty zero matrix is written into by its callers, so it is always a new one
+    assert Mat.zeros(3, 0) is Mat.zeros(3, 0) and Mat.zeros(0, 4) is Mat.zeros(0, 4)
+    assert Mat.zeros(0, 0) is Mat.zeros(0, 0) and Mat.zeros(3, 0) is not Mat.zeros(0, 3)
+    fresh = Mat.zeros(2, 3)
+    assert fresh is not Mat.zeros(2, 3) and fresh.data[0] is not fresh.data[1]
+    fresh.data[0][0] = 1
+    assert Mat.zeros(2, 3).is_zero()
+    with pytest.raises(ValueError, match="inconsistent"):
+        Mat.zeros(-1, 0)
+    # the kernel of a matrix of full column rank is the shared empty one; with no pivot, the identity
+    assert Mat.from_rows([[1, 2], [0, 3], [1, 1]]).kernel_basis() is Mat.zeros(2, 0)
+    assert Mat.zeros(3, 0).kernel_basis() is Mat.zeros(0, 0)
+    assert Mat.zeros(0, 3).kernel_basis() == Mat.zeros(3, 2).transpose().kernel_basis() == Mat.identity(3)
+    # a whole run of every suite leaves each shared matrix with its shape and empty rows
+    from hinak.algebras import AlgebraSpec
+    from hinak.checks import run_all
+
+    run_all(AlgebraSpec.linear_an(4, 2))
+    assert (0, 0) in linalg._EMPTY
+    for (rows, cols), m in linalg._EMPTY.items():
+        assert (m.rows, m.cols, len(m.data)) == (rows, cols, rows) and 0 in (rows, cols)
+        assert all(type(row) is list and row == [] for row in m.data)
+
+
 def test_stacking():
     a = Mat.from_rows([[1, 2]])
     b = Mat.from_rows([[3, 4]])
     assert hstack([a, b]).data == Mat.from_rows([[1, 2, 3, 4]]).data
-    d = block_diag([Mat.identity(1), Mat.from_rows([[2]])])
-    assert d.data == Mat.from_rows([[1, 0], [0, 2]]).data
 
 
 @given(small_matrix())

@@ -93,7 +93,7 @@ def test_sparse_homs_equal_dense_on_intervals_covers_and_envelopes(spec):
         composites = [h for j in range(len(mods)) for h in check_composites(basis[(i, j)], basis[(j, k)])]
         check_homs(composites)
         missing_blocks += sum(1 for h in composites for v in alg.vertices
-                              if v not in h.mats and mods[i].dims[v] and mods[k].dims[v])
+                              if v not in h.mats and mods[i].dim(v) and mods[k].dim(v))
     assert missing_blocks
     for M in mods:
         P, pi = projective_cover(M)

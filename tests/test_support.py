@@ -9,8 +9,9 @@ the summands of the golden specs, on direct sums under dense rational base
 changes, and on simples and covers over an endomorphism algebra.
 
 ``hom_from_generators`` builds each column as one matrix-vector product on
-the column of a shorter chain, and ``ProjSum`` walks back from its summands;
-``act_hom_from_generators`` and ``full_proj_sum`` are the loops they replaced.
+the column of a shorter chain, and ``ProjSum`` places the cached indecomposable
+projective of each summand block-diagonally; ``act_hom_from_generators``,
+``full_proj_sum`` and ``block_diag`` are the loops they replaced.
 """
 
 import ast
@@ -23,7 +24,7 @@ import pytest
 
 from hinak import reps
 from hinak.algebras import AlgebraSpec, CapExceeded, build
-from hinak.linalg import Mat, block_diag
+from hinak.linalg import Mat
 from hinak.reps import (
     MatrixModule,
     ModuleHom,
@@ -36,9 +37,11 @@ from hinak.reps import (
     ext_dim_from_resolution,
     hom_from_generators,
     hom_space,
+    injective_module,
     interval_module,
     min_proj_resolution,
     projective_cover,
+    projective_module,
     radical_spanning_columns,
     simple_module,
     syzygy_module,
@@ -104,7 +107,8 @@ def full_ext_dim_from_resolution(res, N, degree):
 
 
 def full_proj_sum(alg, summands):
-    """The basis index and the arrow matrices of a sum of projectives, over every vertex and arrow."""
+    """The basis index, at the vertices where it is non-empty, and the arrow matrices of a sum of
+    projectives, over every vertex and arrow."""
     index = {w: [(s, b) for s, u in enumerate(summands) for b in alg.hom_basis(w, u)] for w in alg.vertices}
     mats = {}
     for a in alg.arrows():
@@ -117,17 +121,28 @@ def full_proj_sum(alg, summands):
             if comp is not None:
                 m.data[rows[(s, comp)]][col] = 1
         mats[a.elt] = m
-    return index, mats
+    return {w: es for w, es in index.items() if es}, mats
+
+
+def block_diag(mats):
+    """The block-diagonal matrix of the blocks, placed one by one: the loop of the old direct sum."""
+    out = [[0] * sum(m.cols for m in mats) for _ in range(sum(m.rows for m in mats))]
+    r0 = c0 = 0
+    for m in mats:
+        for i, row in enumerate(m.data):
+            out[r0 + i][c0 : c0 + m.cols] = row
+        r0, c0 = r0 + m.rows, c0 + m.cols
+    return Mat(out, len(out), c0)
 
 
 def act_hom_from_generators(P, M, images):
     """The hom of generator images with one product of arrow matrices, M.act(b), per basis morphism b."""
     mats = {}
     for w, entries in P.basis_index.items():
-        if not (entries and M.dims[w]):
+        if not (entries and M.dim(w)):
             continue
         cols = [[sum(c * row[i] for i, c in images[s] if row[i]) for row in M.act(b).data] for s, b in entries]
-        mats[w] = Mat([list(row) for row in zip(*cols)], M.dims[w], len(cols))
+        mats[w] = Mat([list(row) for row in zip(*cols)], M.dim(w), len(cols))
     return ModuleHom(P.module, M, mats)
 
 
@@ -266,17 +281,49 @@ def test_generator_images_equal_the_act_loop_over_an_endomorphism_algebra():
 
 @pytest.mark.parametrize(
     "alg",
-    [build(spec) for spec in GOLDEN_SPECS] + [endo_algebra(build(AlgebraSpec.linear_an(4, 2)))],
-    ids=[s.describe()["family"] for s in GOLDEN_SPECS] + ["endo-linear-a"],
+    [build(spec) for spec in GOLDEN_SPECS]
+    + [endo_algebra(build(AlgebraSpec.linear_an(4, 2))), build(AlgebraSpec.selfinj_atilde(1, 3, 1))],
+    ids=[s.describe()["family"] for s in GOLDEN_SPECS] + ["endo-linear-a", "loop"],
 )
 def test_proj_sum_walk_equals_the_all_vertex_loop(alg):
+    """On each algebra and its opposite: P_u itself, and sums with repeats, reversals and samples."""
     rng = random.Random(23)
     for A in (alg, alg.opposite()):
         vertices = list(A.vertices)
-        for summands in [vertices, vertices[::-1] + vertices[:3], rng.choices(vertices, k=8), vertices[:1] * 3]:
+        cases = [vertices, vertices[::-1] + vertices[:3], rng.choices(vertices, k=8), vertices[:1] * 3]
+        cases += [[u] for u in vertices] + [[u, u] for u in vertices[-2:]]
+        for summands in cases:
             P = ProjSum(A, tuple(summands))
             index, mats = full_proj_sum(A, P.summands)
             assert P.basis_index == index and P.module.mats == mats
+            assert P.module.dims == {w: len(es) for w, es in index.items()}
+        # a one-summand sum is the cached indecomposable projective itself
+        assert all(ProjSum(A, (u,)).module is projective_module(A, u) for u in vertices)
+    # and the injectives are still the duals of the projectives over the opposite algebra
+    op = alg.opposite()
+    for v in alg.vertices:
+        index, mats = full_proj_sum(op, (v,))
+        full = MatrixModule(op, {w: len(es) for w, es in index.items()}, mats)
+        assert same_module(injective_module(alg, v), dualize(full))
+
+
+def test_proj_sums_keep_an_explicit_zero_block_for_each_arrow_inside_their_support():
+    # on tube-trunc an arrow can map P_u to zero at two vertices of its support, and in a sum of
+    # two summands each can reach just one end of an arrow: either way the sum holds a zero block
+    alg = build(AlgebraSpec.tube_trunc(2, 2, 4))
+    for A in (alg, alg.opposite()):
+        own = cross = 0
+        for summands in [(u,) for u in A.vertices] + list(itertools.combinations(A.vertices, 2)):
+            P = ProjSum(A, summands)
+            assert P.module.mats == full_proj_sum(A, summands)[1]
+            assert set(P.module.mats) == {a.elt for a in A.arrows() if P.module.dim(a.src) and P.module.dim(a.dst)}
+            for e, m in P.module.mats.items():
+                if m.is_zero():
+                    if any(e in projective_module(A, u).mats for u in summands):
+                        own += 1
+                    else:
+                        cross += 1
+        assert own and cross
 
 
 def test_direct_sums_store_only_the_arrows_between_two_non_zero_vertices():
@@ -297,8 +344,8 @@ def test_module_loops_never_scan_every_arrow():
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     proj_sum = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "ProjSum")
     functions["ProjSum.__post_init__"] = next(f for f in proj_sum.body if getattr(f, "name", "") == "__post_init__")
-    names = ["hom_space", "ext_dim_from_resolution", "ProjSum.__post_init__", "_walk_back", "_submodule", "dualize",
-             "direct_sum_modules", "interval_module"]
+    names = ["hom_space", "ext_dim_from_resolution", "ProjSum.__post_init__", "_indecomposable", "_walk_back",
+             "_submodule", "dualize", "direct_sum_modules", "interval_module"]
     scans = {
         name: [n.lineno for n in ast.walk(functions[name])
                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "arrows"]
