@@ -375,24 +375,21 @@ def check_endo_tower(spec: AlgebraSpec) -> CheckReport:
     verts.record(end.vertices == target.vertices, got=len(end.vertices), want=len(target.vertices))
 
     dims = report.claim("endo.hom_matrix_matches_next_algebra")
+    nonzero = {}  # a -> (b, basis of Hom_End(a, b), basis of Hom_target(a, b)) where End's is non-zero
     for a in end.vertices:
+        nonzero[a] = []
         for b in end.vertices:
-            got = end.hom_dim(a, b)
-            want = target.hom_dim(a, b)
-            dims.record(got == want, src=a, dst=b, got=got, want=want)
+            got, want = end.hom_basis(a, b), target.hom_basis(a, b)
+            dims.record(len(got) == len(want), src=a, dst=b, got=len(got), want=len(want))
+            if got:
+                nonzero[a].append((b, got, want))
 
     comp = report.claim("endo.composition_table_matches_next_algebra")
     for a in end.vertices:
-        for b in end.vertices:
-            if not end.hom_dim(a, b):
-                continue
-            f_end = end.hom_basis(a, b)[0]
-            f_tgt = target.hom_basis(a, b)[0]
-            for c in end.vertices:
-                if not end.hom_dim(b, c):
-                    continue
-                got = end.compose(f_end, end.hom_basis(b, c)[0]) is not None
-                want = target.compose(f_tgt, target.hom_basis(b, c)[0]) is not None
+        for b, f_end, f_tgt in nonzero[a]:
+            for c, g_end, g_tgt in nonzero[b]:
+                got = end.compose(f_end[0], g_end[0]) is not None
+                want = target.compose(f_tgt[0], g_tgt[0]) is not None
                 comp.record(got == want, src=a, mid=b, dst=c, got=got, want=want)
     return report
 

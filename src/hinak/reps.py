@@ -22,8 +22,8 @@ from .linalg import Mat, _div, column_space_completion, hstack
 class MatrixModule:
     def __init__(self, alg, dims: dict[IntTuple, int], mats: dict[BasisElt, Mat]):
         self.alg = alg
-        # only the non-zero vertices, in vertex order: read dims.get(v, 0)
-        self.dims = {v: dims[v] for v in alg.vertices if dims.get(v)}
+        # only the non-zero vertices, in vertex order, which is lex order on every algebra: read dims.get(v, 0)
+        self.dims = {v: dims[v] for v in sorted(dims) if dims[v]}
         # a list, because short-lived tuples of every length pile up in CPython's tuple free
         # lists and raise the peak memory
         self.support = list(self.dims)

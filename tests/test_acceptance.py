@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from corpus import iter_linear_kupisch
 from hinak.algebras import AlgebraSpec, build, export_dot, export_json
 from hinak.checks import (
     check_cluster_tilting,
@@ -23,7 +24,6 @@ from hinak.checks import (
     check_tau_translate,
 )
 from hinak.reps import gldim
-from test_combinat import iter_linear_kupisch
 
 HOM_EXT_RANGE = [(n, d) for n in range(2, 6) for d in range(1, 4)]
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from corpus import GOLDEN_SPECS, iter_linear_kupisch
 from hinak.algebras import (
     AlgebraSpec,
     BasisElt,
@@ -18,7 +19,6 @@ from hinak.algebras import (
     relations,
 )
 from hinak.combinat import KupischSeries, box_interval, interlaces
-from test_combinat import iter_linear_kupisch
 
 
 def enumerate_os(n, k):
@@ -135,18 +135,6 @@ def test_compose_examples():
     assert k.compose(f, k.identity((1, 1))) == f
 
 
-# one spec per golden family
-MEMO_SPECS = [
-    AlgebraSpec.linear_an(4, 2),
-    AlgebraSpec.kupisch_a((1, 2, 2, 3), 2),
-    AlgebraSpec.window_spec(0, 3, 2),
-    AlgebraSpec.zl_window(3, 0, 4, 2),
-    AlgebraSpec.selfinj_atilde(3, 3, 2),
-    AlgebraSpec.atilde_kupisch((3, 3, 2), 2),
-    AlgebraSpec.tube_trunc(2, 2, 4),
-]
-
-
 def _direct_hom_basis(alg, v, w):
     # no memo: every shift of a wide window whose shifted target passes the box test
     shifts = range(-12, 13) if alg.orbit_modulus else (0,)
@@ -174,7 +162,7 @@ def _check_memo_against_direct(alg, hom_ref, compose_ref):
 
 def test_hom_basis_and_compose_memo_match_direct_computation():
     multi_shift = False
-    for spec in MEMO_SPECS:
+    for spec in GOLDEN_SPECS:
         alg = build(spec)
         basis = _check_memo_against_direct(
             alg, lambda v, w: _direct_hom_basis(alg, v, w), lambda f, g: _direct_compose(alg, f, g)

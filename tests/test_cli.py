@@ -2,11 +2,11 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+from corpus import GOLDEN_FLAGS
 from hinak.algebras import AlgebraSpec, build
 from hinak import cli
 from hinak.cli import main, make_parser
 from hinak.reps import ext_dim, interval_module
-from test_golden import SPECS
 
 
 def run_cli(*argv):
@@ -51,7 +51,7 @@ def test_quiver_json_matches_build():
     assert code == 0
     payload = json.loads(out)
     assert len(payload["vertices"]) == 8
-    for name, flags in SPECS.items():
+    for name, flags in GOLDEN_FLAGS.items():
         built = run_cli("build", *flags)
         assert built == run_cli("quiver", *flags, "--format", "json"), name
         assert built[0] == 0 and built[1], name

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
+from corpus import iter_linear_kupisch
 from hinak.algebras import AlgebraSpec, build
 from hinak.combinat import (
     KupischSeries,
@@ -20,13 +21,6 @@ from hinak.combinat import (
     nakayama_permutation_inverse,
     translate_tuple,
 )
-
-def iter_linear_kupisch(n):
-    """All valid linear Kupisch series on n vertices, lexicographically: 1, then steps up by at most one."""
-    series = [(1,)]
-    for _ in range(n - 1):
-        series = [s + (v,) for s in series for v in range(2, s[-1] + 2)]
-    return [KupischSeries.linear_a(s) for s in series]
 
 
 def window_os(a, b, k):

@@ -13,19 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from corpus import GOLDEN_FLAGS
 from hinak.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-SPECS = {
-    "an-4-2": ["--family", "an", "--n", "4", "--d", "2"],
-    "kupisch-a-1223-2": ["--family", "kupisch-a", "--series", "1,2,2,3", "--d", "2"],
-    "window-0-3-2": ["--family", "window", "--a", "0", "--b", "3", "--d", "2"],
-    "zl-window-3-0-4-2": ["--family", "zl-window", "--l", "3", "--a", "0", "--b", "4", "--d", "2"],
-    "selfinj-atilde-3-3-2": ["--family", "selfinj-atilde", "--n", "3", "--l", "3", "--d", "2"],
-    "atilde-kupisch-332-2": ["--family", "atilde-kupisch", "--series", "3,3,2", "--d", "2"],
-    "tube-trunc-2-2-4": ["--family", "tube-trunc", "--n", "2", "--d", "2", "--trunc", "4"],
-}
 
 COMMANDS = {
     "check": ["check", "--suite", "all", "--report", "json"],
@@ -34,14 +25,14 @@ COMMANDS = {
     "ct-module": ["ct-module"],
 }
 
-CASES = [(spec, cmd) for spec in SPECS for cmd in COMMANDS]
+CASES = [(spec, cmd) for spec in GOLDEN_FLAGS for cmd in COMMANDS]
 
 
 def _stdout(spec: str, cmd: str) -> tuple[int, str]:
     verb, *rest = COMMANDS[cmd]
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main([verb, *SPECS[spec], *rest])
+        code = main([verb, *GOLDEN_FLAGS[spec], *rest])
     return code, out.getvalue()
 
 

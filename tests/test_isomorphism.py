@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import hinak
+from corpus import GOLDEN_SPECS, conjugate, direct_sum, summands
 from hinak.algebras import AlgebraSpec, build
 from hinak.checks import _iso_ok
 from hinak.reps import (
@@ -27,7 +28,6 @@ from hinak.reps import (
     simple_module,
     tau_d,
 )
-from test_sparse_homs import conjugate
 
 
 def scan_isomorphic(M, N):
@@ -60,8 +60,8 @@ def test_triple_sum_with_nine_dimensional_hom_is_isomorphic():
 def test_conjugated_sum_in_another_order_is_isomorphic():
     alg = build(AlgebraSpec.linear_an(4, 2))
     lams = [(0, 1, 2), (0, 1, 2), (1, 2, 3)]
-    C = conjugate(random.Random(3), direct_sum_modules([interval_module(alg, lam) for lam in lams]))
-    T = direct_sum_modules([interval_module(alg, lam) for lam in lams[::-1]])
+    C = conjugate(random.Random(3), direct_sum(alg, lams))
+    T = direct_sum(alg, lams[::-1])
     assert len(hom_space(C, T)) >= 5
     assert scan_isomorphic(C, T) is None
     assert modules_isomorphic(C, T) is True
@@ -71,8 +71,8 @@ def test_conjugated_sum_in_another_order_is_isomorphic():
 def test_find_isomorphic_returns_the_first_certified_label():
     alg = build(AlgebraSpec.linear_an(4, 2))
     lams = alg.summands()
-    M = conjugate(random.Random(5), direct_sum_modules([interval_module(alg, lam) for lam in lams[3:5]]))
-    sums = [(i, direct_sum_modules([interval_module(alg, lam) for lam in lams[i : i + 2]])) for i in range(len(lams) - 1)]
+    M = conjugate(random.Random(5), direct_sum(alg, lams[3:5]))
+    sums = [(i, direct_sum(alg, lams[i : i + 2])) for i in range(len(lams) - 1)]
     assert find_isomorphic(M, sums) == 3
     assert find_isomorphic(M, sums[:3] + [("copy", M)] + sums[3:]) == "copy"
     assert find_isomorphic(M, sums[:3] + sums[4:]) is None
@@ -94,24 +94,18 @@ def combination_certificate(M, N):
     return True if combo.is_iso() else None
 
 
+DIFFERENTIAL_FAMILIES = ("selfinj-atilde", "tube-trunc", "atilde-kupisch", "kupisch-a")
 DIFFERENTIAL_SPECS = pytest.mark.parametrize(
-    "spec",
-    [
-        AlgebraSpec.selfinj_atilde(3, 3, 2),
-        AlgebraSpec.tube_trunc(2, 2, 4),
-        AlgebraSpec.atilde_kupisch((3, 3, 2), 2),
-        AlgebraSpec.kupisch_a((1, 2, 2, 3), 2),
-    ],
-    ids=lambda s: s.family,
+    "spec", [s for s in GOLDEN_SPECS if s.family in DIFFERENTIAL_FAMILIES], ids=lambda s: s.family
 )
 
 
 def differential_modules(spec):
     """The summands, their d-translates and the sums of two distinct summands."""
     alg = build(spec)
-    summands = [interval_module(alg, lam) for lam in alg.summands()]
-    mods = summands + [tau_d(M, alg.d) for M in summands]
-    return mods + [direct_sum_modules(pair) for pair in itertools.combinations(summands, 2)]
+    mods = summands(alg)
+    sums = [direct_sum_modules(pair) for pair in itertools.combinations(mods, 2)]
+    return mods + [tau_d(M, alg.d) for M in mods] + sums
 
 
 @DIFFERENTIAL_SPECS
