@@ -390,10 +390,6 @@ class PresentedAlgebra(BasisAlgebra):
                     out.append((first,) + rest)
         return out
 
-    def _ambient_vertex(self, t: Sequence[int]) -> bool:
-        """Membership of an arbitrary integer tuple in the covering vertex set."""
-        return is_os(t) and self._fits(t[0], t[-1])
-
     def _ambient_hom(self, v: Sequence[int], u: Sequence[int]) -> bool:
         """Nonvanishing of the covering-category Hom from the vertex v to the ambient tuple u.
 
@@ -445,8 +441,10 @@ class PresentedAlgebra(BasisAlgebra):
         found = []
         for v in self.vertices:
             for i in range(self.d):
+                if i + 1 < self.d and v[i] == v[i + 1]:
+                    continue  # raising v_i would break weak increase
                 t = v[:i] + (v[i] + 1,) + v[i + 1 :]
-                if self._ambient_vertex(t):
+                if self._fits(t[0], t[-1]):
                     rep, s = self.canonical(t)
                     found.append(Arrow.of(v, i, rep, s))
         return tuple(found)
@@ -532,7 +530,7 @@ class OppositeAlgebra(BasisAlgebra):
         self._op = base
 
     def hom_basis(self, v, w) -> tuple[BasisElt, ...]:
-        return tuple(b.flipped() for b in self.base.hom_basis(tuple(w), tuple(v)))
+        return tuple(map(BasisElt.flipped, self.base.hom_basis(tuple(w), tuple(v))))
 
     def compose(self, f: BasisElt, g: BasisElt) -> BasisElt | None:
         if f.dst != g.src:

@@ -76,9 +76,15 @@ def _summand(alg, t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _identify_interval(alg, M) -> str:
+    """The first summand, in summand order, whose interval module has M's dimension vector and is
+    certified isomorphic to M.  Only those summands are built: the support of an interval module
+    holds both corners of its box, so a summand with a corner outside M's support is skipped unread."""
     if M.is_zero():
         return "0"
-    found = find_isomorphic(M, ((lam, interval_module(alg, lam)) for lam in alg.summands()))
+    same = [lam for lam in alg.summands()
+            if alg.canonical(lam[:-1])[0] in M.dims and alg.canonical(lam[1:])[0] in M.dims
+            and {v: len(s) for v, s in alg.interval_support(lam).items()} == M.dims]
+    found = find_isomorphic(M, ((lam, interval_module(alg, lam)) for lam in same))
     if found is not None:
         return ",".join(map(str, found))
     raise CapExceeded("module is not isomorphic to a distinguished summand")

@@ -13,7 +13,7 @@ modules of a Nakayama algebra along its linear or cyclic quiver: the
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,7 +39,7 @@ def as_os(entries: Iterable[int]) -> IntTuple:
 
 
 def is_os(entries: Sequence[int]) -> bool:
-    return all(entries[i] <= entries[i + 1] for i in range(len(entries) - 1))
+    return all(map(operator.le, entries, entries[1:]))
 
 
 def interlaces(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -52,10 +52,7 @@ def interlaces(x: Sequence[int], y: Sequence[int]) -> bool:
     """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    k = len(x)
-    if any(x[i] > y[i] for i in range(k)):
-        return False
-    return all(y[i] <= x[i + 1] for i in range(k - 1))
+    return all(map(operator.le, x, y)) and all(map(operator.le, y, x[1:]))
 
 
 def loewy_len(lam: Sequence[int]) -> int:
@@ -68,23 +65,13 @@ def translate_tuple(lam: Sequence[int], k: int = 1) -> IntTuple:
     return tuple(a - k for a in lam)
 
 
-def dominates(hi: Sequence[int], lo: Sequence[int]) -> bool:
-    """Product order: lo <= hi componentwise."""
-    if len(hi) != len(lo):
-        raise ValueError("length mismatch")
-    return all(l <= h for l, h in zip(lo, hi))
-
-
 def box_interval(lo: Sequence[int], hi: Sequence[int]) -> list[IntTuple]:
     """Weakly increasing tuples in the product-order interval [lo, hi], lex order."""
     if len(lo) != len(hi):
         raise ValueError("length mismatch")
-    if not dominates(hi, lo):
-        return []
-    out = []
-    for t in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if is_os(t):
-            out.append(t)
+    out: list[IntTuple] = [()]
+    for l, h in zip(lo, hi):  # extend each prefix by the entries from its last one (or l) up to h
+        out = [t + (x,) for t in out for x in range(max(l, t[-1]) if t else l, h + 1)]
     return out
 
 

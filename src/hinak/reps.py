@@ -211,13 +211,13 @@ def _indecomposable(alg, u: IntTuple) -> tuple[dict[IntTuple, list[tuple[int, Ba
 def _walk_back(alg, u: IntTuple):
     """(x, Hom(x, u)) for each x with Hom(x, u) != 0, walked back from u through the arrows into x:
     exact, since a non-identity basis morphism factors through an arrow out of its source."""
-    seen, stack = {u}, [u]
+    seen, stack = {u}, [(u, alg.hom_basis(u, u))]
     while stack:
-        x = stack.pop()
-        yield x, alg.hom_basis(x, u)
+        x, basis = stack.pop()
+        yield x, basis
         new = {a.src for a in alg.arrows_into(x)} - seen
         seen |= new
-        stack += [y for y in new if alg.hom_basis(y, u)]
+        stack += [(y, b) for y in new if (b := alg.hom_basis(y, u))]
 
 
 # ---------------------------------------------------------------------- module homomorphisms
@@ -445,19 +445,23 @@ def hom_from_generators(
     for s, image in enumerate(images):
         for i, c in image:
             cols[s, ()][i] = c
-
-    def column(s: int, chain: tuple[BasisElt, ...]) -> list[int | Fraction]:
-        if (s, chain) not in cols:
-            nonzero = [(k, y) for k, y in enumerate(column(s, chain[1:])) if y]
-            cols[s, chain] = [sum([row[k] * y for k, y in nonzero if row[k]]) for row in M.mat(chain[0]).data]
-        return cols[s, chain]
-
     mats = {}
     for w, entries in P.basis_index.items():
         if w in M.dims:
-            out = [column(s, tuple(factor_into_arrows(M.alg, b))) for s, b in entries]
+            out = [_chain_column(cols, M, s, tuple(factor_into_arrows(M.alg, b))) for s, b in entries]
             mats[w] = Mat([list(row) for row in zip(*out)], M.dims[w], len(out))
     return ModuleHom(P.module, M, mats)
+
+
+def _chain_column(cols: dict, M: MatrixModule, s: int, chain: tuple[BasisElt, ...]) -> list[int | Fraction]:
+    """cols[s, chain]: M.mat(chain[0]) times the column of (s, chain[1:]), memoised in cols.
+
+    A module-level function, not a closure over cols: a closure that calls itself is a reference
+    cycle, and every call would leave its columns to the cyclic garbage collector."""
+    if (s, chain) not in cols:
+        nonzero = [(k, y) for k, y in enumerate(_chain_column(cols, M, s, chain[1:])) if y]
+        cols[s, chain] = [sum([row[k] * y for k, y in nonzero if row[k]]) for row in M.mat(chain[0]).data]
+    return cols[s, chain]
 
 
 def _top_generators(M: MatrixModule) -> list[tuple[IntTuple, int]]:

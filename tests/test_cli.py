@@ -2,11 +2,13 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-from corpus import GOLDEN_FLAGS
-from hinak.algebras import AlgebraSpec, build
+import pytest
+
+from corpus import GOLDEN_FLAGS, GOLDEN_SPECS
+from hinak.algebras import AlgebraSpec, build, label
 from hinak import cli
 from hinak.cli import main, make_parser
-from hinak.reps import ext_dim, interval_module
+from hinak.reps import ext_dim, find_isomorphic, interval_module, tau_d, tau_d_inverse
 
 
 def run_cli(*argv):
@@ -35,6 +37,24 @@ def test_tau_projective_gives_zero():
         "tau", "--family", "an", "--n", "4", "--d", "2", "--module", "0,1,2", "--power", "1"
     )
     assert code == 0 and out == "0\n"
+
+
+@pytest.mark.parametrize("name", ["an-4-2", "selfinj-atilde-3-3-2", "tube-trunc-2-2-4"])
+def test_tau_names_the_first_certified_summand_of_a_full_scan(name):
+    # the CLI builds only the summands with the translate's dimension vector; the answer must be the
+    # one a scan over every summand's module gives, or exit 3 with nothing on stdout
+    alg = build(dict(zip(GOLDEN_FLAGS, GOLDEN_SPECS))[name])
+    mods = [(lam, interval_module(alg, lam)) for lam in alg.summands()]
+    for lam, M in mods:
+        for power, step in ((1, tau_d), (-1, tau_d_inverse)):
+            T = step(M, alg.d)
+            if T.is_zero():
+                want = (0, "0\n")
+            else:
+                found = find_isomorphic(T, mods)
+                want = (3, "") if found is None else (0, label(found) + "\n")
+            argv = ("tau", *GOLDEN_FLAGS[name], "--module", label(lam), "--power", str(power))
+            assert run_cli(*argv)[:2] == want, argv
 
 
 def test_quiver_dot_counts():

@@ -11,8 +11,10 @@ from hinak.algebras import AlgebraSpec, build
 from hinak.combinat import (
     KupischSeries,
     as_os,
+    box_interval,
     canonical_orbit_rep,
     interlaces,
+    is_os,
     kupisch_hasse_path,
     loewy_len,
     mesh_coordinates,
@@ -62,6 +64,49 @@ def test_interlacing_iff_box_stays_ordered(x, y):
         for t in itertools.product(*(range(a, b + 1) for a, b in zip(x, y)))
     )
     assert interlaces(x, y) == box_ok
+
+
+def int_tuples(k):
+    """Integer k-tuples, sorted or not."""
+    raw = st.lists(st.integers(-2, 4), min_size=k, max_size=k)
+    return st.one_of(raw.map(tuple), raw.map(sorted).map(tuple))
+
+
+# two tuples of length 1 to 4, half the time of one length and otherwise of two different lengths
+tuple_pairs = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(int_tuples(k), st.one_of(int_tuples(k), int_tuples(k % 4 + 1)))
+)
+
+
+@given(st.integers(1, 4).flatmap(int_tuples))
+@settings(max_examples=examples(300))
+def test_is_os_means_sorted(t):
+    assert is_os(t) == (list(t) == sorted(t))
+
+
+@given(tuple_pairs)
+@settings(max_examples=examples(300))
+def test_interlaces_is_a_weakly_increasing_merge(pair):
+    x, y = pair
+    if len(x) != len(y):
+        with pytest.raises(ValueError):
+            interlaces(x, y)
+        return
+    merged = [e for xy in zip(x, y) for e in xy]  # x_1, y_1, x_2, y_2, ...
+    assert interlaces(x, y) == (merged == sorted(merged))
+
+
+@given(tuple_pairs)
+@settings(max_examples=examples(300))
+def test_box_interval_is_the_sorted_part_of_the_product(pair):
+    # lo need not lie below hi, and neither need be sorted
+    lo, hi = pair
+    if len(lo) != len(hi):
+        with pytest.raises(ValueError):
+            box_interval(lo, hi)
+        return
+    product = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    assert box_interval(lo, hi) == [t for t in product if list(t) == sorted(t)]
 
 
 def test_loewy_len():

@@ -1,4 +1,5 @@
 import ast
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -124,6 +125,16 @@ def test_orbit_interval_pushdown_dims():
         rep = tuple(x - (t[0] // 2) * 2 for x in t)
         want[rep] = want.get(rep, 0) + 1
     assert {v: k for v, k in M.dims.items() if k} == want
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.family)
+def test_interval_support_holds_both_corners_of_its_box(spec):
+    # hinak tau skips a summand with a corner outside the translate's support without building it,
+    # which is exact only because every interval module is non-zero at lam[:-1] and lam[1:]
+    alg = build(spec)
+    for lam in alg.summands():
+        dims = interval_module(alg, lam).dims
+        assert alg.canonical(lam[:-1])[0] in dims and alg.canonical(lam[1:])[0] in dims, lam
 
 
 # ------------------------------------------------------------------ projectives and injectives
@@ -792,6 +803,42 @@ def test_dominant_dimension_of_end_follows_the_first_self_extension(spec):
     resolutions = [min_proj_resolution(M, cap) for M in mods]
     first = next(i for i in range(1, cap) if any(ext_dim_from_resolution(r, N, i) for r in resolutions for N in mods))
     assert domdim(endo_algebra(alg), cap) == (1 + first, True)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: build(AlgebraSpec.linear_an(4, 3)), lambda: endo_algebra(build(AN42))], ids=["an-4-3", "end-an-4-2"]
+)
+def test_ext_out_of_simples_vanishes_into_injectives_and_matches_the_reference_into_projectives(make):
+    # Ext^i(-, I) = 0 for i >= 1 on an injective I.  A Hom complex whose differentials lose a coefficient
+    # is no longer a complex, and its "Ext" comes out non-zero, even negative, on these two algebras
+    alg = make()
+    top = gldim(alg, 8)
+    for v in alg.vertices:
+        S = simple_module(alg, v)
+        res, ref_res = min_proj_resolution(S, top + 1), ref.resolution(S, top + 1)[0]
+        for w in alg.vertices:
+            I, P = injective_module(alg, w), projective_module(alg, w)
+            for i in range(1, top + 1):
+                assert ext_dim_from_resolution(res, I, i) == 0, (v, w, i)
+                assert ext_dim_from_resolution(res, P, i) == ref.ext_dim(ref_res, P, i), (v, w, i)
+
+
+def test_covers_and_resolutions_leave_no_cyclic_garbage():
+    # the CLI builds one algebra per query; temporaries in a reference cycle would wait for the cyclic collector
+    alg = build(AN42)
+    mods = summands(alg)
+    for M in mods:  # fill the algebra's tables, memos and P_u cache first: they live as long as it does
+        min_proj_resolution(M, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        for M in mods:
+            projective_cover(M)
+            assert gc.collect() == 0
+            min_proj_resolution(M, 4)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_reps_imports_no_spec_policy():
