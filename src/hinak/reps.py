@@ -611,12 +611,18 @@ def default_cap(alg) -> int:
 
 
 def ext_dim(M: MatrixModule, N: MatrixModule, degree: int) -> int:
-    """dim Ext^degree(M, N) via a minimal projective resolution of M, resolved up to P^(degree+1)."""
+    """dim Ext^degree(M, N) = dim Hom(K, N) - dim Hom(P, N) + dim Hom(X, N), X = Omega^(degree-1) M with cover P -> X,
+    K its kernel: 0 -> Hom(X, N) -> Hom(P, N) -> Hom(K, N) -> Ext^1(X, N) -> 0 is exact, and Hom(P_u, N) = N(u)."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if degree == 0:
         return len(hom_space(M, N))
-    return ext_dim_from_resolution(min_proj_resolution(M, degree + 1), N, degree)
+    for _ in range(degree - 1):
+        M = syzygy_module(M)
+    if M.is_zero():
+        return 0
+    P, h = projective_cover(M)
+    return len(hom_space(kernel_of_hom(h)[0], N)) - sum(N.dim(u) for u in P.summands) + len(hom_space(M, N))
 
 
 def ext_dim_from_resolution(res: ProjResolution, N: MatrixModule, degree: int) -> int:

@@ -721,7 +721,8 @@ def test_default_cap_env_override(monkeypatch, capsys):
 
 
 def test_ext_dimension_shift_consistency():
-    # Ext^i(M, N) == Ext^{i-1}(syzygy M, N) for i >= 2: two different resolutions
+    # Ext^i(M, N) == Ext^{i-1}(syzygy M, N) for i >= 2: ext_dim's three Hom dimensions on M against the
+    # Hom complex of a resolution of the syzygy
     alg = K1223()
     lams = alg.summands()
     for lam in lams[:7]:
@@ -730,7 +731,29 @@ def test_ext_dimension_shift_consistency():
         for mu in lams[:7]:
             N = interval_module(alg, mu)
             for i in (2, 3):
-                assert ext_dim(M, N, i) == ext_dim(OM, N, i - 1)
+                assert ext_dim(M, N, i) == ext_dim_from_resolution(min_proj_resolution(OM, i), N, i - 1)
+
+
+@pytest.mark.parametrize(
+    "spec", [AN42, AlgebraSpec.selfinj_atilde(3, 3, 2), AlgebraSpec.tube_trunc(2, 2, 4)], ids=lambda s: s.family
+)
+def test_ext_by_dimension_shifting_matches_both_hom_complexes(spec):
+    # ext_dim reads three Hom dimensions off the cover of one syzygy; ext_dim_from_resolution and the
+    # reference engine take the cohomology of the Hom complex of a whole resolution
+    alg = build(spec)
+    mods = summands(alg)
+    queries = [(M, N, i) for M in mods for N in mods for i in range(alg.d + 2)]
+    if spec == AN42:  # the rational sums on either side, in degree d
+        sums = conjugated_sums(random.Random(29), alg)
+        queries += [(M, N, alg.d) for M in mods + sums for N in sums] + [(M, N, alg.d) for M in sums for N in mods]
+        mods += sums
+    resolutions = {M: (min_proj_resolution(M, alg.d + 2), ref.resolution(M, alg.d + 2)[0]) for M in mods}
+    values = []
+    for M, N, i in queries:
+        res, ref_res = resolutions[M]
+        values.append(ext_dim(M, N, i))
+        assert values[-1] == ext_dim_from_resolution(res, N, i) == ref.ext_dim(ref_res, N, i), (M, N, i)
+    assert any(v for v, (_, _, i) in zip(values, queries) if i == alg.d)
 
 
 def test_hom_from_projective_is_fiber_dimension():
