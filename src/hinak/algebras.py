@@ -138,7 +138,7 @@ def _next_series(spec: "AlgebraSpec") -> tuple["AlgebraSpec", int] | None:
     path = kupisch_hasse_path(spec.series)
     if len(path) == 1:
         return None
-    return AlgebraSpec.kupisch_a(path[1], spec.d), max(1, spec.d - 1)
+    return AlgebraSpec.kupisch_a(path[1], spec.d), spec.d - 1
 
 
 _COMMON_SUITES = ("hom-ext", "proj-inj", "kupisch-lengths", "tau-translate", "cluster-tilting")

@@ -400,7 +400,10 @@ def check_endo_tower(spec: AlgebraSpec) -> CheckReport:
 def check_homological_embedding(
     inner_spec: AlgebraSpec, outer_spec: AlgebraSpec, degree_bound: int
 ) -> CheckReport:
-    """Extension spaces agree between an idempotent quotient and its ambient algebra."""
+    """Ext^i agrees for i = 0..degree_bound between an idempotent quotient and its ambient algebra.
+
+    kupisch-a compares 0..d-1, Hom alone at d = 1; on every series tried each inner summand is
+    an outer one, so for d >= 2 the Ext part restates rigidity.  window compares 0..d+1."""
     inner = build(inner_spec)
     outer = build(outer_spec)
     report = CheckReport(

@@ -1,12 +1,13 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on dense matrices.
 
 Entries are ``int | Fraction``: ints until a division, which always goes through
 :func:`_div`, is inexact.  No floating point is used anywhere.  Matrices stay
 small (a few hundred rows).  :meth:`Mat.rref` eliminates fraction-free over
 integer rows, each kept primitive by dividing out its gcd, so no Fraction
 arithmetic runs inside the elimination; ``//`` appears only where the
-division is exact.  Every construction checks that the data has the stated
-shape.
+division is exact.  Its working rows are held sparse, as dicts of their
+non-zero entries, only when the matrix holds a Fraction and has at least 10
+rows or columns.  Every construction checks that the data has the stated shape.
 """
 
 from __future__ import annotations
@@ -23,6 +24,46 @@ def _div(x: int | Fraction, p: int | Fraction) -> int | Fraction:
         return x // p if x % p == 0 else Fraction(x, p)
     q = x / p
     return q.numerator if q.denominator == 1 else q
+
+
+def _rref_sparse(m: list[list[int | Fraction]], cols: int) -> tuple[list[list[int | Fraction]], list[int]]:
+    """Mat.rref's steps on the rows m, each scaled to integers and held as a dict of its non-zero entries."""
+    sp = []
+    for row in m:
+        nonzero = {j: x for j, x in enumerate(row) if x}
+        den = lcm(*[x.denominator for x in nonzero.values()])
+        sp.append({j: x.numerator * (den // x.denominator) for j, x in nonzero.items()})
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(sp)) if c in sp[i]), None)
+        if pr is None:
+            continue
+        sp[r], sp[pr] = sp[pr], sp[r]
+        if sp[r][c] != 1:
+            g = gcd(*sp[r].values()) if sp[r][c] > 0 else -gcd(*sp[r].values())
+            sp[r] = {j: x // g for j, x in sp[r].items()}
+        pivot_row, pv = sp[r], sp[r][c]
+        for i, row in enumerate(sp):
+            if i == r or c not in row:
+                continue
+            f = row[c]
+            if pv != 1:
+                g = gcd(pv, f)
+                p, f = pv // g, f // g
+                row = sp[i] = {j: p * a for j, a in row.items()}
+            for j, b in pivot_row.items():
+                row[j] = row.get(j, 0) - f * b
+                if not row[j]:
+                    del row[j]
+            if pv != 1 and (g := gcd(*row.values())) > 1:
+                sp[i] = {j: x // g for j, x in row.items()}
+        pivots.append(c)
+    red = [[0] * cols for _ in m]
+    for out, row, c in zip(red, sp, pivots):
+        for j, x in row.items():
+            out[j] = _div(x, row[c])
+    return red, pivots
 
 
 _INT = {int}
@@ -48,10 +89,7 @@ class Mat:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Mat":
-        data = [[x if type(x) is int else _div(Fraction(x), 1) for x in r] for r in rows]
-        if not data:
-            return Mat([], 0, 0)
-        return Mat(data)
+        return Mat([[x if type(x) is int else _div(Fraction(x), 1) for x in r] for r in rows])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
@@ -136,7 +174,10 @@ class Mat:
         and the new row by its content.  Only at the end is each pivot row
         divided by its pivot, through :func:`_div`.  The reduced form is
         unique, so this is the Gauss-Jordan result, with an int wherever an
-        entry is integral.
+        entry is integral.  A matrix that holds a Fraction and has at least 10
+        rows or columns takes these steps in :func:`_rref_sparse`, on rows held
+        as ``{column: entry}`` dicts: the same pivots and row operations, which
+        skip only zero entries, so the same exact result.
         """
         rows, cols = self.rows, self.cols
         if not rows or not cols:
@@ -144,6 +185,9 @@ class Mat:
         m = [row[:] for row in self.data]
         pivots: list[int] = []
         if set(map(type, chain.from_iterable(m))) != _INT:
+            if rows >= 10 or cols >= 10:
+                red, pivots = _rref_sparse(m, cols)
+                return Mat(red, rows, cols), pivots
             for i, row in enumerate(m):
                 # a list, not a generator: a star-unpacked generator resizes its argument
                 # tuple, and the resized tuples pile up in CPython's tuple free lists
@@ -213,20 +257,13 @@ class Mat:
         """A particular solution X of self * X = rhs, or None if inconsistent."""
         if rhs.rows != self.rows:
             raise ValueError("shape mismatch in solve")
-        aug_cols = self.cols + rhs.cols
-        aug = Mat(
-            [self.data[i][:] + rhs.data[i][:] for i in range(self.rows)],
-            self.rows,
-            aug_cols,
-        )
+        aug = Mat([a + b for a, b in zip(self.data, rhs.data)], self.rows, self.cols + rhs.cols)
         red, pivots = aug.rref()
-        for c in pivots:
-            if c >= self.cols:
-                return None
+        if pivots and pivots[-1] >= self.cols:
+            return None
         sol = [[0] * rhs.cols for _ in range(self.cols)]
         for r, pc in enumerate(pivots):
-            for j in range(rhs.cols):
-                sol[pc][j] = red.data[r][self.cols + j]
+            sol[pc] = red.data[r][self.cols:]
         return Mat(sol, self.cols, rhs.cols)
 
     def inverse(self) -> "Mat | None":

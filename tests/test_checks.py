@@ -77,6 +77,16 @@ def test_default_embedding_partner():
     assert partner(AlgebraSpec.linear_an(4, 2)) is None
 
 
+def test_kupisch_embedding_at_d1_compares_hom_alone_and_passes():
+    # the bound is d - 1, so d = 1 compares degree 0 only: Ext^1 = Ext^d differs between the two algebras
+    for series in ((1, 2, 2, 3), (1, 2, 3, 3), (1, 2, 2, 2, 3)):
+        spec = AlgebraSpec.kupisch_a(series, 1)
+        assert spec.row.embedding(spec)[1] == 0
+        report = run_suite(spec, "homological-embedding")
+        assert report.passed, report.to_json()
+        assert report.spec["degrees"] == 0
+
+
 def test_mesh_iso_without_bound():
     assert check_mesh_iso(1, None, (0, 4)).passed
     assert check_mesh_iso(2, None, (0, 4)).passed

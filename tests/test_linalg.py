@@ -264,6 +264,62 @@ def test_rref_matches_reference_on_non_dividing_pivots_and_large_denominators(ro
     assert m.data == rows  # rref leaves its input alone
 
 
+@st.composite
+def sparse_rational_rows(draw):
+    """10 to 16 rows or columns, mostly zeros, with zero rows, single-entry rows and at least one Fraction."""
+    big, small = draw(st.integers(10, 16)), draw(st.integers(1, 16))
+    rows, cols = draw(st.sampled_from([(big, small), (small, big)]))
+    m = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["zero", "single", "sparse"]))
+        row = [0] * cols
+        if kind == "single":
+            row[draw(st.integers(0, cols - 1))] = draw(hard_entries.filter(bool))
+        elif kind == "sparse":
+            row = draw(st.lists(st.one_of(st.just(0), hard_entries), min_size=cols, max_size=cols))
+        m.append(row)
+    m[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(
+        st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(2, 10**6))
+    )
+    return m
+
+
+@given(sparse_rational_rows())
+@settings(max_examples=examples(100))
+def test_sparse_rref_matches_reference_on_large_mostly_zero_rational_matrices(rows):
+    m = Mat([row[:] for row in rows])
+    red, pivots = m.rref()
+    assert (red.data, pivots) == reference_rref(rows)
+    assert_int_first(red)
+    assert m.data == rows  # rref leaves its input alone
+    assert m.kernel_basis().transpose().data == reference_kernel(rows)
+
+
+def test_banded_matrix_reduces_alike_with_and_without_a_fraction(monkeypatch):
+    # rank 11: the last row is the sum of the two above it, so the last column stays free
+    band = [[(1, 2 + i % 3, -3)[j - i + 1] if abs(i - j) <= 1 else 0 for j in range(12)] for i in range(11)]
+    band.append([a + b for a, b in zip(band[9], band[10])])
+    scaled = [row[:] for row in band]
+    scaled[4] = [Fraction(x, 3) for x in scaled[4]]
+    sparse_calls = []
+    sparse = linalg._rref_sparse
+
+    def recording(m, cols):
+        sparse_calls.append(cols)
+        return sparse(m, cols)
+
+    monkeypatch.setattr(linalg, "_rref_sparse", recording)
+    red, pivots = Mat(band).rref()
+    assert (red.data, pivots) == reference_rref(band)
+    assert pivots == list(range(11)) and any(type(x) is Fraction for row in red.data for x in row)
+    assert sparse_calls == []  # an integer matrix stays dense
+    scaled_red, scaled_pivots = Mat(scaled).rref()
+    assert sparse_calls == [12]  # one row scaled by 1/3 sends the matrix the sparse way
+    assert (scaled_red.data, scaled_pivots) == (red.data, pivots)
+    assert_int_first(red)
+    assert_int_first(scaled_red)
+
+
 def test_every_division_goes_through_div():
     # int / int is a float in Python, so the package divides only inside linalg._div
     def divisions(node):
