@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .combinat import (
@@ -222,6 +224,11 @@ class AlgebraSpec:
     def tube_trunc(n: int, d: int, trunc: int) -> "AlgebraSpec":
         return AlgebraSpec("tube-trunc", d, n=n, bound=trunc)
 
+    @cached_property
+    def embedding(self) -> "tuple[AlgebraSpec, int] | None":
+        """The family's ``embedding(spec)``, computed once per spec."""
+        return self.row.embedding(self)
+
     @property
     def row(self) -> Family:
         """This spec's row of the family table."""
@@ -271,6 +278,11 @@ class BasisAlgebra:
     a tuple of basis morphisms (``hom_basis``) whose composites are again
     basis morphisms or zero (``compose`` returns None).  Subclasses set
     ``d`` and implement ``hom_basis``, ``compose`` and ``_arrow_list``.
+
+    Ownership has no cycle, so a dropped algebra is freed at once by reference
+    counting: the base owns its opposite's tables and caches (``_op_state``)
+    but holds the opposite itself only weakly, the opposite holds its base,
+    and a cache never holds an object, such as a module, that points back.
     """
 
     spec: AlgebraSpec | None = None
@@ -283,14 +295,15 @@ class BasisAlgebra:
         self._arrows: tuple[Arrow, ...] | None = None
         self._arrow_tables: tuple[dict, dict] | None = None
         self._factor_cache: dict[BasisElt, list[BasisElt]] = {}
-        self._proj_cache: dict = {}  # vertex -> (basis index, module) of the indecomposable projective
+        self._proj_cache: dict = {}  # vertex -> (basis index, dims, blocks) of the indecomposable projective
         self._proj_blocks: dict = {}  # the arrow blocks of those modules, one Mat per distinct block
-        self._inj_cache: dict = {}  # vertex -> indecomposable injective module
+        self._inj_cache: dict = {}  # vertex -> (dims, blocks) of the indecomposable injective
         # hom_basis and compose memos of subclasses that compute them; sound because
         # an algebra is never mutated after construction
         self._hom_memo: dict[tuple[IntTuple, IntTuple], tuple[BasisElt, ...]] = {}
         self._compose_memo: dict[tuple[IntTuple, IntTuple, int], BasisElt | None] = {}
-        self._op: BasisAlgebra | None = None
+        self._op: weakref.ref | None = None
+        self._op_state: dict = {}  # the opposite's attributes, kept when the opposite itself is dropped
 
     def require_vertex(self, v: Sequence[int]) -> IntTuple:
         t = as_os(v)
@@ -348,9 +361,11 @@ class BasisAlgebra:
         return self._arrow_tables
 
     def opposite(self) -> "BasisAlgebra":
-        if self._op is None:
-            self._op = OppositeAlgebra(self)
-        return self._op
+        op = self._op and self._op()
+        if op is None:
+            op = OppositeAlgebra(self)
+            self._op = weakref.ref(op)
+        return op
 
 
 class PresentedAlgebra(BasisAlgebra):
@@ -521,13 +536,17 @@ class PresentedAlgebra(BasisAlgebra):
 class OppositeAlgebra(BasisAlgebra):
     """The same vertices with all basis morphisms formally reversed."""
 
+    __slots__ = ("base",)  # the one attribute outside the base's _op_state, which it would point back from
+
     def __init__(self, base: BasisAlgebra):
-        super().__init__(base.vertices)
         self.base = base
-        self.spec = base.spec
-        self.d = base.d
-        self.orbit_modulus = base.orbit_modulus
-        self._op = base
+        self.__dict__ = base._op_state
+        if not self.__dict__:
+            super().__init__(base.vertices)
+            self.spec, self.d, self.orbit_modulus = base.spec, base.d, base.orbit_modulus
+
+    def opposite(self) -> BasisAlgebra:
+        return self.base
 
     def hom_basis(self, v, w) -> tuple[BasisElt, ...]:
         return tuple(map(BasisElt.flipped, self.base.hom_basis(tuple(w), tuple(v))))

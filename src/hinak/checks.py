@@ -591,7 +591,7 @@ SUITES = {
     "hasse-tower": check_hasse_tower,
     # the mesh presentation of a d-family has slope tuples of length d - 1
     "mesh-iso": lambda spec: check_mesh_iso(spec.d - 1, spec.bound, spec.window),
-    "homological-embedding": lambda spec: check_homological_embedding(spec, *spec.row.embedding(spec)),
+    "homological-embedding": lambda spec: check_homological_embedding(spec, *spec.embedding),
 }
 
 
@@ -601,7 +601,7 @@ def _inapplicable(spec: AlgebraSpec, name: str) -> str | None:
         return f"{name} does not apply to {spec.family}"
     if name == "mesh-iso" and spec.d < 2:
         return "mesh-iso needs a zl-window spec with d >= 2"
-    if name == "homological-embedding" and spec.row.embedding(spec) is None:
+    if name == "homological-embedding" and spec.embedding is None:
         # the top of a Hasse path has no ambient algebra to embed into
         return "no default ambient algebra for this spec"
     return None

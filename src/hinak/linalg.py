@@ -177,11 +177,20 @@ class Mat:
         entry is integral.  A matrix that holds a Fraction and has at least 10
         rows or columns takes these steps in :func:`_rref_sparse`, on rows held
         as ``{column: entry}`` dicts: the same pivots and row operations, which
-        skip only zero entries, so the same exact result.
+        skip only zero entries, so the same exact result.  A single row is
+        divided by its first non-zero entry in one pass; an integer row whose
+        first non-zero entry is 1 is already reduced and is returned itself.
         """
         rows, cols = self.rows, self.cols
         if not rows or not cols:
             return self, []
+        if rows == 1:
+            row = self.data[0]
+            pivots = [c for c, x in enumerate(row) if x][:1]
+            pv = row[pivots[0]] if pivots else 1
+            if pv == 1 and set(map(type, row)) == _INT:
+                return self, pivots
+            return Mat([[_div(x, pv) for x in row]], 1, cols), pivots
         m = [row[:] for row in self.data]
         pivots: list[int] = []
         if set(map(type, chain.from_iterable(m))) != _INT:

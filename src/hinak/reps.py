@@ -145,14 +145,15 @@ def interval_module(alg, lam: Sequence[int]) -> MatrixModule:
 
 
 def projective_module(alg: BasisAlgebra, v) -> MatrixModule:
-    return _indecomposable(alg, alg.require_vertex(v))[1]
+    return MatrixModule(alg, *_indecomposable(alg, alg.require_vertex(v))[1:])
 
 
 def injective_module(alg: BasisAlgebra, v) -> MatrixModule:
     v = alg.require_vertex(v)
     if v not in alg._inj_cache:
-        alg._inj_cache[v] = dualize(projective_module(alg.opposite(), v))
-    return alg._inj_cache[v]
+        D = dualize(projective_module(alg.opposite(), v))
+        alg._inj_cache[v] = D.dims, D.mats
+    return MatrixModule(alg, *alg._inj_cache[v])
 
 
 # ---------------------------------------------------------------------- sums of projectives
@@ -166,29 +167,30 @@ class ProjSum:
     summands: tuple[IntTuple, ...]
 
     def __post_init__(self):
-        """The cached P_u of one summand, or the direct sum of those of several.
+        """P_u on the cached blocks of one summand, or the direct sum of those of several.
 
         ``basis_index[w]`` lists the basis of the sum at w as pairs (summand, basis morphism w -> u),
         only where the sum is non-zero.
         """
         parts = [_indecomposable(self.alg, u) for u in self.summands]
+        mods = [MatrixModule(self.alg, dims, mats) for _, dims, mats in parts]
         if len(parts) == 1:
-            self.basis_index, self.module = parts[0]
+            self.basis_index, self.module = parts[0][0], mods[0]
             return
         self.basis_index: dict[IntTuple, list[tuple[int, BasisElt]]] = {}
-        for s, (index, _) in enumerate(parts):
+        for s, (index, _, _) in enumerate(parts):
             for w, entries in index.items():
                 self.basis_index.setdefault(w, []).extend([(s, b) for _, b in entries])
-        self.module = direct_sum_modules([P for _, P in parts]) if parts else zero_module(self.alg)
+        self.module = direct_sum_modules(mods) if parts else zero_module(self.alg)
 
     def generator_position(self, s: int) -> int:
         u = self.summands[s]
         return self.basis_index[u].index((s, self.alg.identity(u)))
 
 
-def _indecomposable(alg, u: IntTuple) -> tuple[dict[IntTuple, list[tuple[int, BasisElt]]], MatrixModule]:
-    """The basis index of P_u as a one-summand sum, and P_u with the 0/1 matrix of each arrow
-    between two vertices of its support; built once per algebra."""
+def _indecomposable(alg, u: IntTuple) -> tuple[dict[IntTuple, list[tuple[int, BasisElt]]], dict, dict]:
+    """The basis index of P_u as a one-summand sum, its dims, and the 0/1 matrix of each arrow between
+    two vertices of its support; built once per algebra, and no module, whose .alg would point back."""
     if u not in alg._proj_cache:
         index = {x: [(0, b) for b in basis] for x, basis in _walk_back(alg, u)}
         row_of = {x: {b: i for i, (_, b) in enumerate(entries)} for x, entries in index.items()}
@@ -204,7 +206,7 @@ def _indecomposable(alg, u: IntTuple) -> tuple[dict[IntTuple, list[tuple[int, Ba
             if key not in alg._proj_blocks:
                 alg._proj_blocks[key] = Mat(data, len(rows), len(cols))
             mats[a.elt] = alg._proj_blocks[key]
-        alg._proj_cache[u] = index, MatrixModule(alg, {x: len(entries) for x, entries in index.items()}, mats)
+        alg._proj_cache[u] = index, {x: len(entries) for x, entries in index.items()}, mats
     return alg._proj_cache[u]
 
 
@@ -479,7 +481,7 @@ def projective_cover(M: MatrixModule) -> tuple[ProjSum, ModuleHom]:
 def is_projective(M: MatrixModule) -> bool:
     """Whether the projective cover has the dimension of M, counted from the top of M; no cover is built."""
     gens = _top_generators(M)
-    return sum(_indecomposable(M.alg, v)[1].total_dim for v, _ in gens) == M.total_dim
+    return sum(sum(_indecomposable(M.alg, v)[1].values()) for v, _ in gens) == M.total_dim
 
 
 def is_injective(M: MatrixModule) -> bool:

@@ -264,6 +264,37 @@ def test_rref_matches_reference_on_non_dividing_pivots_and_large_denominators(ro
     assert m.data == rows  # rref leaves its input alone
 
 
+row_entries = st.one_of(st.just(0), st.integers(-9, 9), rationals, st.integers(-6, 6).map(Fraction))
+
+
+@st.composite
+def single_rows(draw):
+    """1 to 16 entries: mixed ints and Fractions (denominator-1 ones included), all-zero rows, and
+    integer rows that are already reduced (zeros, then a 1, then any ints)."""
+    k = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["mixed", "zero", "fraction-zero", "reduced"]))
+    if kind == "zero":
+        return [0] * k
+    if kind == "fraction-zero":
+        return [Fraction(0)] * k
+    if kind == "reduced":
+        lead = draw(st.integers(0, k - 1))
+        return [0] * lead + [1] + draw(st.lists(st.integers(-9, 9), min_size=k - lead - 1, max_size=k - lead - 1))
+    return draw(st.lists(row_entries, min_size=k, max_size=k))
+
+
+@given(single_rows())
+@settings(max_examples=examples(300))
+def test_single_row_rref_matches_reference_and_returns_a_reduced_integer_row_itself(row):
+    m = Mat([row[:]])
+    red, pivots = m.rref()
+    assert (red.data, pivots) == reference_rref([row])
+    assert_int_first(red)
+    assert m.data == [row]  # rref leaves its input alone
+    already_reduced = all(type(x) is int for x in row) and (not pivots or row[pivots[0]] == 1)
+    assert (red is m) == already_reduced
+
+
 @st.composite
 def sparse_rational_rows(draw):
     """10 to 16 rows or columns, mostly zeros, with zero rows, single-entry rows and at least one Fraction."""

@@ -2,6 +2,7 @@ import ast
 import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import reference as ref
 from corpus import AN42, GOLDEN_SPECS, conjugated_sums, summands
 from hinak import reps
 from hinak.algebras import AlgebraSpec, BasisAlgebra, build
-from hinak.cli import main
+from hinak.cli import main, make_parser
 from hinak.combinat import box_interval, interlaces, loewy_len
 from hinak.reps import (
     CapExceeded,
@@ -862,6 +863,70 @@ def test_covers_and_resolutions_leave_no_cyclic_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("spec", [AN42, AlgebraSpec.tube_trunc(2, 2, 4)], ids=["an-4-2", "tube-trunc-2-2-4"])
+def test_a_dropped_algebra_is_freed_at_once_with_every_cache_filled(spec):
+    # the algebra and its opposite point at each other's state, and the caches hold modules' blocks:
+    # none of it may form a cycle, or each query's algebra would wait for the cyclic collector
+    alg = build(spec)
+    op = alg.opposite()
+    for M in summands(alg):
+        min_proj_resolution(M, 4)
+        tau_d(M, alg.d)
+    for v in alg.vertices:
+        injective_module(alg, v)
+        injective_module(op, v)
+    assert op.arrows_from(alg.vertices[0]) == op._tables()[0][alg.vertices[0]]
+    gc.collect()
+    gc.disable()
+    try:
+        refs = weakref.ref(alg), weakref.ref(op)
+        del alg, op, M
+        assert [r() for r in refs] == [None, None]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cli_queries_leave_no_cyclic_garbage(capsys):
+    # hom, ext and tau on the four families of the cli-queries benchmark; tube-trunc's ext rechecks
+    # its value one truncation up, so it builds a second algebra
+    families = [
+        (["--family", "an", "--n", "5", "--d", "3"], "1,2,3,4", "0,1,2,3", "3"),
+        (["--family", "kupisch-a", "--series", "1,2,3,3,3", "--d", "2"], "2,3,3", "1,2,2", "2"),
+        (["--family", "selfinj-atilde", "--n", "4", "--l", "4", "--d", "2"], "1,2,3", "0,1,2", "2"),
+        (["--family", "tube-trunc", "--n", "3", "--d", "2", "--trunc", "5"], "1,2,3", "0,1,2", "2"),
+    ]
+    make_parser()  # built once per process; argparse's help formatters hold cycles of their own
+    gc.collect()
+    gc.disable()
+    try:
+        for flags, lam, mu, d in families:
+            for argv in (["hom", *flags, "--from", mu, "--to", lam],
+                         ["ext", *flags, "--from", lam, "--to", mu, "--degree", d],
+                         ["tau", *flags, "--module", lam]):
+                assert main(argv) == 0, argv
+                assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.split() == ["1", "1", "0,1,2,3", "0", "1", "1,2,2"] + ["1", "1", "0,1,2"] * 2
+
+
+def test_a_module_over_the_opposite_outlives_its_base():
+    lam = (0, 1, 2)  # not injective, so its dual has a resolution of three terms
+    held = build(AN42)
+    want = dualize(interval_module(held, lam))
+    want_homs, want_res = hom_space(want, want), min_proj_resolution(want, 3)
+    D = dualize(interval_module(build(AN42), lam))  # its opposite algebra is all that holds this base
+    assert D.alg.base is not held
+    homs, res = hom_space(D, D), min_proj_resolution(D, 3)
+    assert [h.mats for h in homs] == [h.mats for h in want_homs] and homs
+    assert [t.summands for t in res.terms] == [t.summands for t in want_res.terms] and len(res.terms) > 1
+    assert (res.diffs, res.complete) == (want_res.diffs, want_res.complete)
+    base = D.alg.opposite()
+    assert base.opposite() is D.alg and base.opposite().opposite() is base
+    assert held.opposite() is held.opposite() and held.opposite().opposite() is held
 
 
 def test_reps_imports_no_spec_policy():

@@ -154,8 +154,8 @@ def test_proj_sum_walk_equals_the_all_vertex_loop(alg):
             index, mats = ref.proj_sum(A, P.summands)
             assert P.basis_index == index and P.module.mats == mats
             assert P.module.dims == {w: len(es) for w, es in index.items()}
-        # a one-summand sum is the cached indecomposable projective itself
-        assert all(ProjSum(A, (u,)).module is projective_module(A, u) for u in vertices)
+        # a one-summand sum reads the blocks of the cached indecomposable projective: P_u is built once
+        assert all(ProjSum(A, (u,)).module.mats is projective_module(A, u).mats for u in vertices)
     # and the injectives are still the duals of the projectives over the opposite algebra
     op = alg.opposite()
     for v in alg.vertices:
